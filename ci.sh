@@ -53,7 +53,7 @@ cargo run --release -q -p awb-bench --bin colgen_bench -- --frontier-smoke
 echo "==> session_bench --smoke (warm-session bit-identity + speedup floor)"
 cargo run --release -q -p awb-bench --bin session_bench -- --smoke
 
-echo "==> service_load_bench --smoke (reactor + blocking servers under load)"
+echo "==> service_load_bench --smoke (reactor server under load)"
 cargo run --release -q -p awb-bench --bin service_load_bench -- --smoke
 
 echo "==> estimators_bench --smoke (kernel bit-identity + speedup floor + campaign determinism)"

@@ -4,9 +4,10 @@
 //! Three questions, one artifact:
 //!
 //! 1. **Kernel ablation** — on the paper's 30-node instance with saturated
-//!    flows, the compiled slot kernels ([`SimEngine::Compiled`]) must
-//!    produce a **bit-identical** report to the generic engine and run at
-//!    least 5× faster per slot. Both facts are asserted, then recorded.
+//!    flows, the compiled slot kernels ([`Simulator::run`]) must produce a
+//!    **bit-identical** report to the reference loop
+//!    ([`Simulator::run_reference`]) and run at least 5× faster per slot.
+//!    Both facts are asserted, then recorded.
 //! 2. **Error surface** — a deterministic scenario matrix
 //!    (density × contention × seed, up to 300 nodes) runs the paper's §5.2
 //!    experiment in each cell: flows arrive one by one, each routed on the
@@ -37,7 +38,7 @@ use awb_estimate::{Estimator, Hop, IdleMap};
 use awb_net::{NodeId, Path, SinrModel, TopologyDelta};
 use awb_phy::Phy;
 use awb_routing::{shortest_path, RoutingMetric};
-use awb_sim::{campaign, Contention, RatePolicy, SimConfig, SimEngine, Simulator};
+use awb_sim::{campaign, Contention, RatePolicy, SimConfig, SimReport, Simulator};
 use awb_workloads::mobility::{WaypointConfig, WaypointMobility};
 use awb_workloads::{
     shortest_hop_distance, ContentionSpec, DensityPoint, RandomTopology, RateMix, ScenarioCell,
@@ -394,33 +395,31 @@ fn ablation_instance() -> (SinrModel, Vec<Path>) {
 
 fn run_ablation(slots: u64) -> AblationResult {
     let (model, paths) = ablation_instance();
-    let run = |engine: SimEngine| {
-        let mut sim = Simulator::new(
-            &model,
-            SimConfig {
-                slots,
-                engine,
-                ..SimConfig::default()
-            },
-        );
-        for p in &paths {
-            sim.add_flow(p.clone(), None);
-        }
-        sim.run(&model)
-    };
-    let time = |engine: SimEngine| {
+    let mut sim = Simulator::new(
+        &model,
+        SimConfig {
+            slots,
+            ..SimConfig::default()
+        },
+    );
+    for p in &paths {
+        sim.add_flow(p.clone(), None);
+    }
+    let time = |run: &dyn Fn() -> SimReport| {
         (0..ITERS)
             .map(|_| {
                 let t = Instant::now();
-                let _ = run(engine);
+                let _ = run();
                 t.elapsed().as_nanos() as u64
             })
             .min()
             .expect("at least one iteration")
     };
-    let bit_identical = run(SimEngine::Generic) == run(SimEngine::Compiled);
-    let generic_ns = time(SimEngine::Generic);
-    let compiled_ns = time(SimEngine::Compiled);
+    let reference = || sim.run_reference(&model);
+    let compiled = || sim.run(&model);
+    let bit_identical = reference() == compiled();
+    let generic_ns = time(&reference);
+    let compiled_ns = time(&compiled);
     AblationResult {
         num_nodes: model.topology().num_nodes(),
         num_links: model.topology().num_links(),

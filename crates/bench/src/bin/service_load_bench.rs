@@ -1,14 +1,11 @@
-//! `service_load_bench` — sustained-load comparison of the nonblocking
-//! reactor server against the blocking thread-pool server, written to
-//! `BENCH_service_load.json` at the repo root.
+//! `service_load_bench` — sustained load on the reactor server (epoll
+//! event loop + small worker pool), written to `BENCH_service_load.json`
+//! at the repo root.
 //!
 //! A single-threaded nonblocking load generator (built on the reactor's
 //! own [`Poller`]) drives 1k+ concurrent connections, each keeping one
 //! request in flight. The grid covers:
 //!
-//! - **server**: `reactor` (epoll event loop + small worker pool) vs
-//!   `blocking` (the legacy server given one worker thread per connection,
-//!   i.e. the thread-per-connection architecture it emulates);
 //! - **mode**: `single` (`available_bandwidth`, one query per request) vs
 //!   `batch` (`admit_batch`, a whole arrival sequence answered by one warm
 //!   session sweep);
@@ -20,18 +17,17 @@
 //!
 //! Each cell reports sustained request and query throughput plus
 //! p50/p99/p999 latency. Responses are checked for `"status": "ok"` so a
-//! server shedding load cannot fake a win; overload rejections count as
+//! server shedding load cannot fake throughput; overload rejections count as
 //! errors and fail the run.
 //!
 //! `--smoke` runs a 64-connection grid and writes nothing — the CI hook
-//! that keeps both servers serving this workload. The full run asserts the
-//! headline result: the reactor sustains higher warm single-query
-//! throughput than thread-per-connection at 1k+ connections.
+//! that keeps the server serving this workload. Both runs assert that
+//! every request is answered and none errors.
 
 #![forbid(unsafe_code)]
 
 use awb_reactor::{Interest, Poller};
-use awb_service::{serve, serve_reactor, EngineConfig, ReactorServerConfig, ServerConfig};
+use awb_service::{serve_reactor, ReactorConfig, ReactorServerConfig};
 use serde::Serialize;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -75,7 +71,6 @@ const SMOKE: GridConfig = GridConfig {
 
 #[derive(Serialize)]
 struct Row {
-    server: &'static str,
     mode: &'static str,
     phase: &'static str,
     connections: usize,
@@ -194,7 +189,7 @@ fn connect_all(poller: &Poller, addr: SocketAddr, n: usize) -> io::Result<Vec<Cl
     Ok(conns)
 }
 
-/// Runs one (server, mode, phase) cell over the established keep-alive
+/// Runs one (mode, phase) cell over the established keep-alive
 /// connections, returning per-request latencies (µs) plus the error count
 /// and wall time. Reusing connections across phases means a warm phase
 /// measures result-cache replay, not a reconnect storm.
@@ -355,7 +350,6 @@ fn run_cell(
     poller: &Poller,
     conns: &mut [ClientConn],
     grid: &GridConfig,
-    server: &'static str,
     mode: Mode,
     phase: Phase,
 ) -> Row {
@@ -370,7 +364,6 @@ fn run_cell(
     let queries = requests * per_request;
     let secs = elapsed.as_secs_f64().max(1e-9);
     Row {
-        server,
         mode: match mode {
             Mode::Single => "single",
             Mode::Batch => "batch",
@@ -396,55 +389,37 @@ fn run_cell(
 /// Both phases share one keep-alive connection set: the warm phase replays
 /// over the very sockets the cold phase drove, so its numbers measure
 /// result-cache replay rather than a fresh connect storm.
-fn run_mode(addr: SocketAddr, grid: &GridConfig, server: &'static str, mode: Mode) -> Vec<Row> {
+fn run_mode(addr: SocketAddr, grid: &GridConfig, mode: Mode) -> Vec<Row> {
     let poller = Poller::new().expect("load generator poller");
     let mut conns =
         connect_all(&poller, addr, grid.connections).expect("load generator connect failed");
     vec![
-        run_cell(&poller, &mut conns, grid, server, mode, Phase::Cold),
-        run_cell(&poller, &mut conns, grid, server, mode, Phase::Warm),
+        run_cell(&poller, &mut conns, grid, mode, Phase::Cold),
+        run_cell(&poller, &mut conns, grid, mode, Phase::Warm),
     ]
 }
 
-fn run_reactor(grid: &GridConfig) -> Vec<Row> {
+fn run_grid(grid: &GridConfig) -> Vec<Row> {
     let server = serve_reactor(ReactorServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        queue_capacity: grid.connections + 64,
-        max_connections: grid.connections + 64,
-        engine: EngineConfig::default(),
+        reactor: ReactorConfig {
+            queue_capacity: grid.connections + 64,
+            max_connections: grid.connections + 64,
+            ..ReactorConfig::default()
+        },
         ..ReactorServerConfig::default()
     })
     .expect("reactor server failed to start");
     let addr = server.local_addr();
-    let mut rows = run_mode(addr, grid, "reactor", Mode::Single);
-    rows.extend(run_mode(addr, grid, "reactor", Mode::Batch));
-    server.shutdown();
-    rows
-}
-
-fn run_blocking(grid: &GridConfig) -> Vec<Row> {
-    // One worker per connection: the classic thread-per-connection shape
-    // the reactor replaces.
-    let server = serve(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        workers: grid.connections,
-        queue_capacity: grid.connections + 64,
-        engine: EngineConfig::default(),
-        ..ServerConfig::default()
-    })
-    .expect("blocking server failed to start");
-    let addr = server.local_addr();
-    let mut rows = run_mode(addr, grid, "blocking", Mode::Single);
-    rows.extend(run_mode(addr, grid, "blocking", Mode::Batch));
+    let mut rows = run_mode(addr, grid, Mode::Single);
+    rows.extend(run_mode(addr, grid, Mode::Batch));
     server.shutdown();
     rows
 }
 
 fn print_row(r: &Row) {
     println!(
-        "{:>8} {:>6} {:>4}: {:>6} conns, {:>6} reqs in {:>9.1} ms — {:>9.0} req/s \
+        "{:>6} {:>4}: {:>6} conns, {:>6} reqs in {:>9.1} ms — {:>9.0} req/s \
          ({:>9.0} queries/s), p50 {:>7} µs, p99 {:>7} µs, p999 {:>7} µs, errors {}",
-        r.server,
         r.mode,
         r.phase,
         r.connections,
@@ -459,19 +434,12 @@ fn print_row(r: &Row) {
     );
 }
 
-fn find_qps(rows: &[Row], server: &str, mode: &str, phase: &str) -> f64 {
-    rows.iter()
-        .find(|r| r.server == server && r.mode == mode && r.phase == phase)
-        .map_or(0.0, |r| r.qps)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let grid = if smoke { SMOKE } else { FULL };
 
-    let mut rows = run_reactor(&grid);
-    rows.extend(run_blocking(&grid));
+    let rows = run_grid(&grid);
     for r in &rows {
         print_row(r);
     }
@@ -481,36 +449,18 @@ fn main() {
     for r in &rows {
         assert_eq!(
             r.requests, expected,
-            "{}/{}/{} dropped requests",
-            r.server, r.mode, r.phase
+            "{}/{} dropped requests",
+            r.mode, r.phase
         );
     }
 
     if smoke {
         println!(
-            "service_load_bench smoke ok: {} connections × {} iterations on both servers, 0 errors",
+            "service_load_bench smoke ok: {} connections × {} iterations, 0 errors",
             grid.connections, grid.iterations
         );
         return;
     }
-
-    // The headline acceptance bar: at 1k+ connections the reactor
-    // sustains more warm single-query throughput than one thread per
-    // connection.
-    let reactor_qps = find_qps(&rows, "reactor", "single", "warm");
-    let blocking_qps = find_qps(&rows, "blocking", "single", "warm");
-    assert!(
-        reactor_qps > blocking_qps,
-        "reactor ({reactor_qps:.0} req/s) did not beat thread-per-connection \
-         ({blocking_qps:.0} req/s) at {} connections",
-        grid.connections
-    );
-    println!(
-        "reactor sustains {:.2}x thread-per-connection warm single-query throughput \
-         at {} connections",
-        reactor_qps / blocking_qps,
-        grid.connections
-    );
 
     let report = Report {
         bench: "service_load",

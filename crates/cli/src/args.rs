@@ -44,7 +44,7 @@ impl fmt::Display for ArgsError {
 impl std::error::Error for ArgsError {}
 
 /// Flags that take no value.
-const BOOLEAN_FLAGS: &[&str] = &["json", "help", "stdio", "reactor", "blocking"];
+const BOOLEAN_FLAGS: &[&str] = &["json", "help", "stdio"];
 
 impl Args {
     /// Parses a token stream (excluding the program name).

@@ -5,7 +5,7 @@ use awb_core::{available_bandwidth, AvailableBandwidthOptions, Flow};
 use awb_net::Path;
 use awb_phy::Phy;
 use awb_routing::{admit_sequentially, AdmissionConfig, RoutingMetric};
-use awb_sim::{Contention, SimConfig, SimEngine, Simulator};
+use awb_sim::{Contention, SimConfig, Simulator};
 use awb_workloads::{chain_model, connected_pairs, RandomTopology, RandomTopologyConfig};
 use serde::Serialize;
 use std::error::Error;
@@ -190,7 +190,6 @@ pub fn admission(args: &Args) -> CmdResult {
 struct SimulateOut {
     hops: usize,
     slots: u64,
-    engine: String,
     seeds: usize,
     /// Mean end-to-end throughput across seeds (the single seed's value
     /// when `--seeds 1`).
@@ -205,15 +204,6 @@ pub fn simulate(args: &Args) -> CmdResult {
     let hops = args.get_or("hops", 3usize)?;
     let hop_length = args.get_or("hop-length", 70.0f64)?;
     let slots = args.get_or("slots", 50_000u64)?;
-    let engine = match args.get("sim-engine").unwrap_or("compiled") {
-        "compiled" => SimEngine::Compiled,
-        "generic" => SimEngine::Generic,
-        other => {
-            return Err(
-                format!("unknown --sim-engine {other:?} (expected compiled or generic)").into(),
-            )
-        }
-    };
     let base_seed = args.get_or("seed", SimConfig::default().seed)?;
     let num_seeds = args.get_or("seeds", 1usize)?.max(1);
     let sim_threads = args.get_or("sim-threads", 1usize)?;
@@ -241,7 +231,6 @@ pub fn simulate(args: &Args) -> CmdResult {
             SimConfig {
                 slots,
                 contention,
-                engine,
                 seed: base_seed + i as u64,
                 ..SimConfig::default()
             },
@@ -255,7 +244,6 @@ pub fn simulate(args: &Args) -> CmdResult {
     let out = SimulateOut {
         hops,
         slots,
-        engine: format!("{engine:?}").to_lowercase(),
         seeds: num_seeds,
         throughput_mbps: per_seed_mbps.iter().sum::<f64>() / per_seed_mbps.len() as f64,
         per_seed_mbps,
@@ -264,8 +252,8 @@ pub fn simulate(args: &Args) -> CmdResult {
     };
     emit(args, &out, || {
         println!(
-            "{hops}-hop chain, {slots} slots, contention {:?}, {} engine, {} seed(s)",
-            contention, out.engine, out.seeds
+            "{hops}-hop chain, {slots} slots, contention {:?}, {} seed(s)",
+            contention, out.seeds
         );
         println!("end-to-end throughput: {:.3} Mbps", out.throughput_mbps);
         if out.seeds > 1 {
@@ -365,18 +353,17 @@ fn pricing_args(args: &Args) -> Result<(awb_core::PricingMode, f64, usize, usize
 ///
 /// With `--stdio`, serves newline-delimited JSON requests from stdin to
 /// stdout and exits at EOF (single-shot mode). Otherwise binds a TCP
-/// listener (default `127.0.0.1:4810`; `--addr host:0` picks a free port).
-/// The default server is the nonblocking reactor (epoll event loop plus a
+/// listener (default `127.0.0.1:4810`; `--addr host:0` picks a free port)
+/// and serves it with the nonblocking reactor (epoll event loop plus a
 /// worker pool): it installs a SIGTERM/SIGINT handler, drains in-flight
-/// and queued requests within `--drain-ms`, and exits 0. `--blocking`
-/// selects the legacy thread-per-connection-style server instead (kept
-/// for differential testing; it serves until killed).
+/// and queued requests within `--drain-ms`, and exits 0. `--max-frame
+/// BYTES` caps request frames in both modes.
 /// `--enum-engine auto|generic|compiled[:N]` selects the set-enumeration
 /// engine and `--solver full|colgen` the LP strategy (both pure
-/// performance knobs; results are identical); `--shards N` splits the
-/// compiled-instance cache and `--max-frame BYTES` caps request frames.
+/// performance knobs; results are identical) and `--shards N` splits the
+/// compiled-instance cache.
 pub fn serve(args: &Args) -> CmdResult {
-    use awb_service::{Engine, EngineConfig, ReactorServerConfig, ServerConfig};
+    use awb_service::{Engine, EngineConfig, ReactorConfig, ReactorServerConfig};
     let (pricing, stab_alpha, pricing_threads, column_pool_cap) = pricing_args(args)?;
     let engine_config = EngineConfig {
         enumeration_engine: parse_engine_kind(args.get("enum-engine").unwrap_or("auto"))?,
@@ -388,48 +375,33 @@ pub fn serve(args: &Args) -> CmdResult {
         column_pool_cap,
         ..EngineConfig::default()
     };
+    let defaults = ReactorConfig::default();
+    let max_frame_len = args.get_or("max-frame", defaults.max_frame_len)?.max(1);
     if args.has("stdio") {
         let engine = Engine::new(engine_config);
         let stdin = std::io::stdin();
         let mut stdout = std::io::stdout();
-        let served = awb_service::serve_stdio(&engine, stdin.lock(), &mut stdout)?;
+        let served = awb_service::serve_stdio(&engine, stdin.lock(), &mut stdout, max_frame_len)?;
         eprintln!(
             "awb-service stdio: served {served} request(s); {}",
             engine.metrics.summary()
         );
         return Ok(());
     }
-    let addr = args.get("addr").unwrap_or("127.0.0.1:4810").to_string();
-    let max_frame_len = args.get_or("max-frame", 1usize << 20)?.max(1);
-    if args.has("blocking") {
-        let config = ServerConfig {
-            addr,
-            workers: args.get_or("workers", 4usize)?.max(1),
-            queue_capacity: args.get_or("queue", 64usize)?.max(1),
-            max_frame_len,
-            engine: engine_config,
-        };
-        let server = awb_service::serve(config)?;
-        eprintln!(
-            "awb-service (blocking) listening on {}",
-            server.local_addr()
-        );
-        server.join();
-        return Ok(());
-    }
-    let defaults = ReactorServerConfig::default();
     let config = ReactorServerConfig {
-        addr,
-        workers: args.get_or("workers", defaults.workers)?.max(1),
-        queue_capacity: args.get_or("queue", defaults.queue_capacity)?.max(1),
-        max_frame_len,
-        drain_deadline: std::time::Duration::from_millis(args.get_or("drain-ms", 5000u64)?),
-        install_signal_handler: true,
+        reactor: ReactorConfig {
+            addr: args.get("addr").unwrap_or("127.0.0.1:4810").to_string(),
+            workers: args.get_or("workers", defaults.workers)?.max(1),
+            queue_capacity: args.get_or("queue", defaults.queue_capacity)?.max(1),
+            max_frame_len,
+            drain_deadline: std::time::Duration::from_millis(args.get_or("drain-ms", 5000u64)?),
+            install_signal_handler: true,
+            ..defaults
+        },
         engine: engine_config,
-        ..defaults
     };
     let server = awb_service::serve_reactor(config)?;
-    eprintln!("awb-service (reactor) listening on {}", server.local_addr());
+    eprintln!("awb-service listening on {}", server.local_addr());
     // Returns once a SIGTERM/SIGINT-triggered drain completes.
     let engine = std::sync::Arc::clone(server.engine());
     server.join()?;

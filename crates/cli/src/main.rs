@@ -8,13 +8,14 @@
 //! awb admission [--flows 8] [--metric average-e2eD] [--demand 2]
 //!               [--seed 7] [--pairs-seed 5] [--json]
 //! awb simulate  [--hops 3] [--hop-length 70] [--slots 50000] [--demand sat]
-//!               [--contention ordered|p0.5|dcf] [--json]
+//!               [--contention ordered|p0.5|dcf] [--seed 1] [--seeds K]
+//!               [--sim-threads N] [--json]
 //! awb mobility  [--nodes 30] [--epochs 6] [--mobile 0.1] [--speed M/S]
 //!               [--pattern sink|hot|unidir|bidir] [--flows 6] [--demand 2]
 //!               [--seed 7] [--json]
 //! awb scenario2 [--json]
 //! awb serve     [--addr 127.0.0.1:4810] [--workers N] [--queue N] [--stdio]
-//!               [--blocking] [--shards 8] [--max-frame BYTES] [--drain-ms 5000]
+//!               [--shards 8] [--max-frame BYTES] [--drain-ms 5000]
 //!               [--enum-engine auto|generic|compiled[:N]] [--solver full|colgen]
 //!               [--pricing heuristic|exact] [--stab-alpha A] [--pricing-threads N]
 //! awb query     [--addr host:port] [--request '<json>'] [--solver full|colgen]
@@ -41,9 +42,8 @@ commands:
               --pattern picks the demand matrix, --mobile the moving
               fraction, --speed pins the waypoint leg speed)
   scenario2   the paper's clique-invalidity counterexample (16.2 Mbps)
-  serve       run the admission-control daemon (JSON lines over TCP;
-              nonblocking reactor by default — SIGTERM drains and exits 0;
-              --blocking for the legacy thread-pool server;
+  serve       run the admission-control daemon (JSON lines over TCP,
+              served by an epoll reactor — SIGTERM drains and exits 0;
               --stdio for single-shot stdin/stdout mode;
               --shards N instance-cache shards, --max-frame BYTES frame cap;
               --enum-engine auto|generic|compiled[:N] picks the enumerator;

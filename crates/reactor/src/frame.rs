@@ -4,10 +4,10 @@
 //! The wire protocol is one JSON request per `\n`-terminated line. A
 //! nonblocking read can deliver any prefix of that — half a line, three
 //! lines and a half, one byte — so the framer accumulates bytes and yields
-//! complete lines in arrival order. It is the byte-for-byte equivalent of
-//! the blocking server's `read`-and-split loop: frames exclude the
-//! terminator, and the unterminated tail is held until more bytes (or EOF)
-//! arrive.
+//! complete lines in arrival order, exactly the frames of splitting the
+//! whole stream on `\n` at once: frames exclude the terminator, and the
+//! unterminated tail is held until more bytes (or EOF) arrive. The
+//! service's stdio mode frames stdin with the same type.
 //!
 //! The cap turns a slow-loris client (or a genuinely huge request) into a
 //! structured [`FrameError::TooLarge`] instead of unbounded buffering; the

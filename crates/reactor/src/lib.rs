@@ -1,18 +1,18 @@
 //! `awb-reactor` — a dependency-free nonblocking service core for the
 //! admission-control daemon.
 //!
-//! The blocking `awb-service` server spends one OS thread per in-flight
-//! connection; at the "millions of users" concurrency the ROADMAP aims for,
-//! thread stacks and context switches dominate before the Eq. 6 solver ever
-//! runs. This crate replaces that I/O core with a classic readiness design:
+//! A server that parks one OS thread per connection spends its time on
+//! thread stacks and context switches long before the Eq. 6 solver runs
+//! once connections number in the thousands. `awb-service` therefore
+//! serves TCP through this crate's classic readiness design:
 //!
 //! * **[`sys`]** — a minimal epoll / eventfd binding written against the raw
 //!   Linux syscall ABI (no `libc` crate; the build environment vendors all
 //!   dependencies). The only `unsafe` in the workspace lives there, behind
 //!   safe [`sys::Poller`] / [`sys::Waker`] wrappers.
 //! * **[`frame`]** — an incremental newline framer with partial-read
-//!   buffers and a max-frame-size cap, byte-equivalent to the blocking
-//!   server's `BufRead`-style framing under any chunking of the input.
+//!   buffers and a max-frame-size cap, yielding the same frames under any
+//!   chunking of the input as splitting the whole stream on `\n`.
 //! * **[`timer`]** — a hashed timer wheel driving per-connection read/write
 //!   deadlines and the bounded shutdown drain.
 //! * **[`queue`]** — a bounded MPMC job queue with non-blocking admission
@@ -27,7 +27,7 @@
 //! The reactor is protocol-agnostic: it moves newline-delimited frames and
 //! delegates both request execution and error rendering to a
 //! [`LineHandler`], so `awb-service` keeps sole ownership of the wire
-//! format and answers stay byte-identical to the blocking path.
+//! format.
 
 // The epoll binding in `sys` requires FFI, so the crate denies (not
 // forbids) unsafe code and re-allows it for that one module only.

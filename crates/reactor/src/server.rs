@@ -61,11 +61,10 @@ pub enum Reject {
 
 /// The protocol glue the reactor drives.
 ///
-/// The reactor consumes whitespace-only frames itself (mirroring the
-/// blocking server, which skips blank lines without a response); every
-/// other complete frame reaches [`handle`](LineHandler::handle) with
-/// surrounding whitespace trimmed. Responses are written back followed by
-/// a single `\n`.
+/// The reactor consumes whitespace-only frames itself, without a
+/// response; every other complete frame reaches
+/// [`handle`](LineHandler::handle) with surrounding whitespace trimmed.
+/// Responses are written back followed by a single `\n`.
 pub trait LineHandler: Send + Sync {
     /// Executes one request line and returns the response line (no
     /// trailing newline). Runs on a worker thread.
@@ -509,7 +508,7 @@ impl EventLoop {
             let text = String::from_utf8_lossy(&raw);
             let line = text.trim();
             if line.is_empty() {
-                // Mirror the blocking server: blank lines get no response.
+                // Blank lines get no response.
                 continue;
             }
             let seq = conn.assign_seq();
@@ -740,6 +739,7 @@ fn write_pending(conn: &mut Conn, stream: &mut TcpStream) -> bool {
 mod tests {
     use super::*;
     use std::io::{BufRead, BufReader};
+    use std::sync::mpsc;
 
     /// Toy protocol: uppercase the line; rejects render as `ERR:<kind>`.
     struct Upper;
@@ -763,6 +763,28 @@ mod tests {
         spawn(config, Arc::new(Upper)).expect("spawn reactor")
     }
 
+    /// [`Upper`] behind a gate: `handle` reports each frame on `started`
+    /// and then parks until the test sends on `release`; `reject` reports
+    /// each refusal on `rejected`.
+    struct Gate {
+        started: Mutex<mpsc::Sender<String>>,
+        release: Mutex<mpsc::Receiver<()>>,
+        rejected: Mutex<mpsc::Sender<Reject>>,
+    }
+
+    impl LineHandler for Gate {
+        fn handle(&self, line: &str) -> String {
+            let _ = lock_recover(&self.started).send(line.to_string());
+            let _ = lock_recover(&self.release).recv();
+            Upper.handle(line)
+        }
+
+        fn reject(&self, line: Option<&str>, reject: Reject) -> String {
+            let _ = lock_recover(&self.rejected).send(reject);
+            Upper.reject(line, reject)
+        }
+    }
+
     #[test]
     fn answers_pipelined_requests_in_order() {
         let handle = spawn_upper(ReactorConfig::default());
@@ -778,6 +800,52 @@ mod tests {
             got.push(line.trim().to_string());
         }
         assert_eq!(got, vec!["ALPHA", "BETA", "GAMMA"]);
+        handle.shutdown();
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn full_queue_rejects_overloaded_and_keeps_answer_order() {
+        let wait = Duration::from_secs(10);
+        let (started_tx, started) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let (rejected_tx, rejected) = mpsc::channel();
+        let gate = Gate {
+            started: Mutex::new(started_tx),
+            release: Mutex::new(release_rx),
+            rejected: Mutex::new(rejected_tx),
+        };
+        let config = ReactorConfig {
+            workers: 1,
+            queue_capacity: 1,
+            ..ReactorConfig::default()
+        };
+        let handle = spawn(config, Arc::new(gate)).expect("spawn reactor");
+        let mut client = TcpStream::connect(handle.local_addr()).unwrap();
+        client.set_read_timeout(Some(wait)).unwrap();
+
+        // Frame 1 occupies the only worker and leaves the queue empty.
+        client.write_all(b"one\n").unwrap();
+        assert_eq!(started.recv_timeout(wait).unwrap(), "one");
+        // Frame 2 takes the single queue slot; frame 3 finds it full.
+        client.write_all(b"two\nthree\n").unwrap();
+        assert_eq!(rejected.recv_timeout(wait).unwrap(), Reject::Overloaded);
+        assert_eq!(
+            handle.metrics().rejected_overload.load(Ordering::Relaxed),
+            1
+        );
+
+        release.send(()).unwrap();
+        release.send(()).unwrap();
+        let mut reader = BufReader::new(client);
+        let mut got = Vec::new();
+        for _ in 0..3 {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            got.push(line.trim().to_string());
+        }
+        assert_eq!(got, vec!["ONE", "TWO", "ERR:overloaded"]);
+        assert_eq!(started.recv_timeout(wait).unwrap(), "two");
         handle.shutdown();
         handle.join().unwrap();
     }

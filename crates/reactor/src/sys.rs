@@ -13,8 +13,8 @@
 //!   sets a process-global flag and nudges the waker, the hook behind the
 //!   daemon's graceful drain.
 //!
-//! Everything here is Linux-only, which matches the deployment target (the
-//! blocking `std`-only server remains available on other platforms).
+//! Everything here is Linux-only, and so is the service: its only TCP
+//! server is the reactor built on this module.
 
 use std::fs::File;
 use std::io::{self, Read, Write};

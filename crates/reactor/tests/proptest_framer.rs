@@ -1,19 +1,19 @@
-//! Property tests pinning the reactor's incremental [`LineFramer`] to the
-//! blocking server's framing semantics: however a byte stream is chunked
-//! across nonblocking reads, the sequence of yielded frames must be
-//! byte-identical to splitting the whole stream on `\n` at once.
+//! Property tests pinning the reactor's incremental [`LineFramer`] to
+//! one-shot framing: however a byte stream is chunked across nonblocking
+//! reads, the sequence of yielded frames must be byte-identical to
+//! splitting the whole stream on `\n` at once.
 //!
 //! This is the contract the differential service tests build on — if the
 //! framer ever diverged under some adversarial read pattern, the reactor
-//! could return different responses than the blocking path for the same
-//! client bytes.
+//! could answer the same client bytes differently from `handle_line` run
+//! line by line.
 
 use awb_reactor::{FrameError, LineFramer};
 use proptest::prelude::*;
 
-/// The blocking server's framing, run on the complete stream: frames are
-/// the `\n`-separated segments, terminator excluded; an unterminated tail
-/// is not a frame.
+/// One-shot framing of the complete stream: frames are the
+/// `\n`-separated segments, terminator excluded; an unterminated tail is
+/// not a frame.
 fn reference_frames(stream: &[u8]) -> (Vec<Vec<u8>>, Vec<u8>) {
     let mut frames = Vec::new();
     let mut rest = stream;
@@ -60,7 +60,7 @@ proptest! {
     /// reference frame sequence, and afterwards holds exactly the
     /// reference's unterminated tail.
     #[test]
-    fn incremental_framing_matches_blocking_split(
+    fn incremental_framing_matches_one_shot_split(
         stream in stream_strategy(),
         cuts in proptest::collection::vec(1usize..64, 1..8),
     ) {

@@ -1,29 +1,34 @@
 //! `awb-service` — a concurrent admission-control daemon for the paper's
 //! available-bandwidth pipeline (Chen, Zhai & Fang, ICDCS 2009).
 //!
-//! The expensive step of answering "how much bandwidth is available on this
-//! path?" (Eq. 6) is enumerating the rate-coupled maximal independent sets
-//! of the link universe — exponential in the number of links. This crate
-//! wraps the workspace's solver crates in a long-lived service that
-//! amortizes that cost:
+//! Answering "how much bandwidth is available on this path?" (Eq. 6) starts
+//! with work that depends only on the topology and the link universe:
+//! compiling it — enumerating its rate-coupled independent sets
+//! (exponential in the number of links) or building column-generation
+//! pricing oracles. This crate wraps the workspace's solver crates in a
+//! long-lived service that amortizes that cost:
 //!
 //! * **Topology registry** — clients register a topology once and refer to
-//!   it by content hash afterwards ([`spec`]).
-//! * **Two-level cache** — enumerated set pools and solved results, LRU
-//!   ([`engine`]). Cached answers are byte-identical to direct library
-//!   calls.
-//! * **Coalescing** — concurrent requests on the same uncached pool share
-//!   one enumeration ([`coalesce`]).
-//! * **Backpressure** — a bounded queue rejects excess connections with a
-//!   structured `overloaded` error instead of unbounded buffering
-//!   ([`queue`], [`server`]).
+//!   it by content hash afterwards; `update` patches a registered topology
+//!   with a delta ([`spec`]).
+//! * **Two-level cache** — compiled instances in a sharded LRU
+//!   ([`shards`]) and rendered results ([`engine`]). Cached answers are
+//!   byte-identical to direct library calls.
+//! * **Coalescing** — concurrent requests for the same uncompiled instance
+//!   share one compile ([`coalesce`]).
+//! * **The server** — an epoll reactor ([`reactor_server`]): one event-loop
+//!   thread owns every socket, a worker pool runs the solves, pipelined
+//!   responses leave in request order, and a full job queue answers with a
+//!   structured `overloaded` error instead of buffering without bound.
 //! * **Deadlines and graceful shutdown** — per-request `deadline_ms`
-//!   checked between pipeline stages; shutdown drains in-flight work.
+//!   checked between pipeline stages; SIGTERM/SIGINT drain in-flight work
+//!   within a bound.
 //! * **Metrics** — atomic counters and log2 latency histograms, via the
 //!   `stats` query and the shutdown log ([`metrics`]).
 //!
 //! Wire protocol: newline-delimited JSON over TCP, or single-shot over
-//! stdin/stdout ([`protocol`], [`server::serve_stdio`]).
+//! stdin/stdout ([`protocol`], [`server::serve_stdio`]); both run every
+//! line through [`server::handle_line`].
 //!
 //! # Example
 //!
@@ -55,14 +60,14 @@ pub mod engine;
 mod lock;
 pub mod metrics;
 pub mod protocol;
-pub mod queue;
 pub mod reactor_server;
 pub mod server;
 pub mod shards;
 pub mod spec;
 
+pub use awb_reactor::ReactorConfig;
 pub use engine::{Engine, EngineConfig};
 pub use protocol::{CacheStatus, ErrorCode, QueryKind, Request, ServiceError};
-pub use reactor_server::{serve_reactor, serve_reactor_with, ReactorServer, ReactorServerConfig};
-pub use server::{serve, serve_stdio, ServerConfig, ServerHandle};
+pub use reactor_server::{serve_reactor, ReactorServer, ReactorServerConfig};
+pub use server::serve_stdio;
 pub use spec::TopologySpec;

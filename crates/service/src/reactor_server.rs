@@ -1,11 +1,11 @@
-//! The nonblocking front end: an [`awb_reactor`] event loop serving the
-//! same newline-JSON protocol as the blocking [`crate::server`].
+//! The TCP server: an [`awb_reactor`] event loop serving the
+//! newline-JSON protocol.
 //!
 //! The reactor owns all socket I/O on one event-loop thread; request
 //! lines are executed on its worker pool through [`EngineHandler`], which
-//! delegates to the exact [`crate::server::handle_line`] the blocking
-//! path uses — responses are byte-identical between the two servers, and
-//! the integration tests assert it. Frames the reactor refuses to run
+//! delegates to [`crate::server::handle_line`] — the same function stdio
+//! mode runs, so both front ends answer a request with the same bytes
+//! (the differential tests assert it). Frames the reactor refuses to run
 //! (queue full, frame cap exceeded, drain in progress) are rendered as
 //! the service's structured errors with the request `id` echoed whenever
 //! the offending line was parseable.
@@ -13,58 +13,22 @@
 use crate::engine::{Engine, EngineConfig};
 use crate::metrics::Metrics;
 use crate::protocol::{self, ErrorCode, ServiceError};
-use crate::server::handle_line;
+use crate::server::{handle_line, request_id};
 use awb_reactor::{LineHandler, ReactorConfig, ReactorHandle, Reject};
 use serde_json::Value;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Duration;
 
-/// Tuning for the reactor-mode server.
-#[derive(Debug, Clone)]
+/// Tuning for the server: the reactor's socket, worker-pool and deadline
+/// settings plus the engine behind it.
+#[derive(Debug, Clone, Default)]
 pub struct ReactorServerConfig {
-    /// Bind address; use port 0 for an OS-assigned port.
-    pub addr: String,
-    /// Worker threads executing solves off the event loop.
-    pub workers: usize,
-    /// Job-queue capacity; a full queue yields `overloaded` rejects.
-    pub queue_capacity: usize,
-    /// Per-frame byte cap; beyond it the client gets `frame_too_large`.
-    pub max_frame_len: usize,
-    /// How long a partial frame may sit unfinished before the connection
-    /// is reaped (`None` disables the deadline).
-    pub read_deadline: Option<Duration>,
-    /// How long a slow consumer may leave response bytes unread (`None`
-    /// disables the deadline).
-    pub write_deadline: Option<Duration>,
-    /// Bound on the graceful drain after a shutdown request.
-    pub drain_deadline: Duration,
-    /// Concurrent-connection cap; beyond it accepts are refused.
-    pub max_connections: usize,
-    /// Install the process SIGTERM/SIGINT handler so signals trigger the
-    /// graceful drain (daemon mode; tests leave it off).
-    pub install_signal_handler: bool,
+    /// Event-loop settings (bind address, workers, queue, frame cap,
+    /// deadlines, connection cap, signal handling).
+    pub reactor: ReactorConfig,
     /// Engine (cache) configuration.
     pub engine: EngineConfig,
-}
-
-impl Default for ReactorServerConfig {
-    fn default() -> Self {
-        let reactor = ReactorConfig::default();
-        ReactorServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: reactor.workers,
-            queue_capacity: reactor.queue_capacity,
-            max_frame_len: reactor.max_frame_len,
-            read_deadline: reactor.read_deadline,
-            write_deadline: reactor.write_deadline,
-            drain_deadline: reactor.drain_deadline,
-            max_connections: reactor.max_connections,
-            install_signal_handler: false,
-            engine: EngineConfig::default(),
-        }
-    }
 }
 
 /// Bridges the reactor's line-oriented callbacks onto the [`Engine`].
@@ -79,12 +43,33 @@ impl EngineHandler {
     }
 }
 
-/// Extracts the request `id` from a (possibly malformed) request line so
-/// error responses stay correlatable, mirroring `handle_line`.
-fn line_id(line: Option<&str>) -> Value {
-    line.and_then(|l| serde_json::from_str::<Value>(l).ok())
-        .and_then(|v| v.get("id").cloned())
-        .unwrap_or(Value::Null)
+/// Renders the structured error for a frame that never reached
+/// [`handle_line`], counting it as a failed request. Shared by the reactor
+/// and stdio mode so both refuse a frame with the same bytes.
+pub(crate) fn render_reject(engine: &Engine, line: Option<&str>, reject: Reject) -> String {
+    Metrics::bump(&engine.metrics.requests_error);
+    let error = match reject {
+        Reject::Overloaded => {
+            Metrics::bump(&engine.metrics.rejected_overload);
+            ServiceError::new(
+                ErrorCode::Overloaded,
+                "request queue full; retry with backoff",
+            )
+        }
+        Reject::FrameTooLarge { limit } => ServiceError::new(
+            ErrorCode::FrameTooLarge,
+            format!("frame exceeds the {limit}-byte cap"),
+        ),
+        Reject::ShuttingDown => {
+            ServiceError::new(ErrorCode::ShuttingDown, "server is shutting down")
+        }
+        Reject::Internal => ServiceError::new(
+            ErrorCode::Internal,
+            "internal error while serving the request",
+        ),
+    };
+    let id = line.map_or(Value::Null, request_id);
+    protocol::error_response(&id, &error)
 }
 
 impl LineHandler for EngineHandler {
@@ -93,70 +78,25 @@ impl LineHandler for EngineHandler {
     }
 
     fn reject(&self, line: Option<&str>, reject: Reject) -> String {
-        Metrics::bump(&self.engine.metrics.requests_error);
-        let error = match reject {
-            Reject::Overloaded => {
-                Metrics::bump(&self.engine.metrics.rejected_overload);
-                ServiceError::new(
-                    ErrorCode::Overloaded,
-                    "request queue full; retry with backoff",
-                )
-            }
-            Reject::FrameTooLarge { limit } => ServiceError::new(
-                ErrorCode::FrameTooLarge,
-                format!("frame exceeds the {limit}-byte cap"),
-            ),
-            Reject::ShuttingDown => {
-                ServiceError::new(ErrorCode::ShuttingDown, "server is shutting down")
-            }
-            Reject::Internal => ServiceError::new(
-                ErrorCode::Internal,
-                "internal error while serving the request",
-            ),
-        };
-        protocol::error_response(&line_id(line), &error)
+        render_reject(&self.engine, line, reject)
     }
 }
 
-/// A running reactor-mode server.
+/// A running server.
 pub struct ReactorServer {
     engine: Arc<Engine>,
     handle: ReactorHandle,
 }
 
-/// Starts the nonblocking server on `config.addr`.
+/// Starts the server on `config.reactor.addr`.
 ///
 /// # Errors
 ///
 /// Propagates bind and epoll-setup failures.
 pub fn serve_reactor(config: ReactorServerConfig) -> io::Result<ReactorServer> {
     let engine = Arc::new(Engine::new(config.engine));
-    serve_reactor_with(config, engine)
-}
-
-/// Like [`serve_reactor`] but fronts an existing engine (so tests and the
-/// differential harness can share caches or inspect metrics).
-///
-/// # Errors
-///
-/// Propagates bind and epoll-setup failures.
-pub fn serve_reactor_with(
-    config: ReactorServerConfig,
-    engine: Arc<Engine>,
-) -> io::Result<ReactorServer> {
-    let reactor_config = ReactorConfig {
-        addr: config.addr,
-        workers: config.workers,
-        queue_capacity: config.queue_capacity,
-        max_frame_len: config.max_frame_len,
-        read_deadline: config.read_deadline,
-        write_deadline: config.write_deadline,
-        drain_deadline: config.drain_deadline,
-        max_connections: config.max_connections,
-        install_signal_handler: config.install_signal_handler,
-    };
     let handler = Arc::new(EngineHandler::new(Arc::clone(&engine)));
-    let handle = awb_reactor::spawn(reactor_config, handler)?;
+    let handle = awb_reactor::spawn(config.reactor, handler)?;
     engine.attach_reactor_metrics(handle.metrics());
     Ok(ReactorServer { engine, handle })
 }
@@ -205,8 +145,25 @@ mod tests {
     use crate::server::query_once;
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
+    use std::sync::atomic::Ordering;
 
     const RELAY: &str = r#""topology": {"nodes": [[0,0],[50,0],[100,0]], "links": [[0,1],[1,2]], "alone_rates": [[54],[54]], "conflicts": [[0,1]]}"#;
+
+    #[test]
+    fn overload_reject_echoes_the_id_and_counts_the_failure() {
+        let handler = EngineHandler::new(Arc::new(Engine::new(EngineConfig::default())));
+        let line =
+            format!(r#"{{"query": "available_bandwidth", "id": "q7", {RELAY}, "path": [0,1]}}"#);
+        let response: Value =
+            serde_json::from_str(&handler.reject(Some(&line), Reject::Overloaded)).unwrap();
+        assert_eq!(response["status"].as_str(), Some("error"));
+        assert_eq!(response["id"].as_str(), Some("q7"));
+        assert_eq!(response["error"]["code"].as_str(), Some("overloaded"));
+        let metrics = &handler.engine.metrics;
+        assert_eq!(metrics.requests_error.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.rejected_overload.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.requests_ok.load(Ordering::Relaxed), 0);
+    }
 
     #[test]
     fn reactor_round_trip_matches_protocol() {

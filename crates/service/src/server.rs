@@ -1,234 +1,24 @@
-//! The daemon: a std-only thread-pool TCP server speaking newline-delimited
-//! JSON, plus a single-shot stdin/stdout mode.
-//!
-//! Concurrency shape: one non-blocking accept loop feeds accepted
-//! connections into a [`BoundedQueue`]; a fixed pool of worker threads pops
-//! connections and serves every request line on them. When the queue is
-//! full the accept loop answers immediately with a structured `overloaded`
-//! error and closes the connection — producers never block, clients get
-//! explicit backpressure. [`ServerHandle::shutdown`] stops accepting,
-//! drains queued and in-flight connections, joins every thread and logs a
-//! metrics summary.
+//! The protocol entry points shared by every front end: [`handle_line`]
+//! executes one request line, [`serve_stdio`] runs it over stdin/stdout,
+//! and [`query_once`] is the matching one-shot TCP client. The TCP server
+//! itself is the reactor in [`crate::reactor_server`].
 
-use crate::engine::{Engine, EngineConfig};
-use crate::protocol::{self, ErrorCode, Request, ServiceError};
-use crate::queue::{BoundedQueue, PushError};
+use crate::engine::Engine;
+use crate::protocol::{self, Request};
+use crate::reactor_server::render_reject;
+use awb_reactor::{FrameError, LineFramer, Reject};
 use serde_json::Value;
 use std::io::{self, BufRead, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-/// How long the accept loop and connection reads sleep between polls.
-const POLL_INTERVAL: Duration = Duration::from_millis(10);
-
-/// Server tuning knobs.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Bind address; use port 0 for an OS-assigned port.
-    pub addr: String,
-    /// Worker threads serving connections.
-    pub workers: usize,
-    /// Connections admitted to the queue before `overloaded` rejections.
-    pub queue_capacity: usize,
-    /// Bytes a single unterminated frame may buffer before the connection
-    /// is answered with `frame_too_large` and closed.
-    pub max_frame_len: usize,
-    /// Engine (cache) configuration.
-    pub engine: EngineConfig,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 4,
-            queue_capacity: 64,
-            max_frame_len: 1 << 20,
-            engine: EngineConfig::default(),
-        }
-    }
-}
-
-/// A running server; dropping it without [`ServerHandle::shutdown`] leaves
-/// the threads running for the process lifetime.
-pub struct ServerHandle {
-    engine: Arc<Engine>,
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    acceptor: JoinHandle<()>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-/// Starts a server on `config.addr`.
-///
-/// # Errors
-///
-/// Propagates the bind failure.
-pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
-    let listener = TcpListener::bind(config.addr.as_str())?;
-    listener.set_nonblocking(true)?;
-    let local_addr = listener.local_addr()?;
-    let engine = Arc::new(Engine::new(config.engine));
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let queue = Arc::new(BoundedQueue::<TcpStream>::new(config.queue_capacity.max(1)));
-
-    let max_frame_len = config.max_frame_len.max(1);
-    let workers = (0..config.workers.max(1))
-        .map(|_| {
-            let engine = Arc::clone(&engine);
-            let queue = Arc::clone(&queue);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || {
-                while let Some(stream) = queue.pop() {
-                    serve_connection(&engine, stream, &shutdown, max_frame_len);
-                }
-            })
-        })
-        .collect();
-
-    let acceptor = {
-        let queue = Arc::clone(&queue);
-        let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || {
-            loop {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                match listener.accept() {
-                    Ok((stream, _)) => dispatch(&queue, stream),
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(POLL_INTERVAL);
-                    }
-                    Err(_) => std::thread::sleep(POLL_INTERVAL),
-                }
-            }
-            // Stop the workers once no more connections will arrive;
-            // queued connections are still drained before they exit.
-            queue.close();
-        })
-    };
-
-    Ok(ServerHandle {
-        engine,
-        local_addr,
-        shutdown,
-        acceptor,
-        workers,
-    })
-}
-
-/// Hands an accepted connection to the workers, or rejects it.
-fn dispatch(queue: &BoundedQueue<TcpStream>, stream: TcpStream) {
-    if let Err((reason, mut stream)) = queue.try_push(stream) {
-        let error = match reason {
-            PushError::Full => ServiceError::new(
-                ErrorCode::Overloaded,
-                "request queue full; retry with backoff",
-            ),
-            PushError::Closed => {
-                ServiceError::new(ErrorCode::ShuttingDown, "server is shutting down")
-            }
-        };
-        let line = protocol::error_response(&Value::Null, &error);
-        let _ = stream.write_all(line.as_bytes());
-        let _ = stream.write_all(b"\n");
-    }
-}
-
-impl ServerHandle {
-    /// The bound address (useful with port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// The shared engine (for metrics inspection in tests).
-    pub fn engine(&self) -> &Arc<Engine> {
-        &self.engine
-    }
-
-    /// Graceful shutdown: stop accepting, drain queued and in-flight
-    /// connections, join all threads. Returns the final metrics summary
-    /// (also logged to stderr).
-    pub fn shutdown(self) -> String {
-        self.shutdown.store(true, Ordering::SeqCst);
-        let _ = self.acceptor.join();
-        for worker in self.workers {
-            let _ = worker.join();
-        }
-        let summary = self.engine.metrics.summary();
-        eprintln!("awb-service shutdown: {summary}");
-        summary
-    }
-
-    /// Blocks the calling thread for the lifetime of the accept loop —
-    /// i.e. forever, for a daemon with no external shutdown signal.
-    pub fn join(self) {
-        let _ = self.acceptor.join();
-        for worker in self.workers {
-            let _ = worker.join();
-        }
-    }
-}
-
-/// Serves every request line on one connection until EOF (or until a
-/// shutdown is requested and the client goes quiet).
-fn serve_connection(engine: &Engine, stream: TcpStream, shutdown: &AtomicBool, max_frame: usize) {
-    // Poll reads so the worker can notice a shutdown between lines.
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut stream = stream;
-    let mut pending: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        // Serve complete lines already buffered.
-        while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = pending.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
-            if line.trim().is_empty() {
-                continue;
-            }
-            let response = handle_line(engine, line.trim());
-            if writer.write_all(response.as_bytes()).is_err()
-                || writer.write_all(b"\n").is_err()
-                || writer.flush().is_err()
-            {
-                return;
-            }
-        }
-        // Whatever remains is an unterminated partial frame; cap it so a
-        // client streaming garbage without newlines cannot grow the buffer
-        // unboundedly.
-        if pending.len() > max_frame {
-            let error = ServiceError::new(
-                ErrorCode::FrameTooLarge,
-                format!("frame exceeds the {max_frame}-byte cap"),
-            );
-            let line = protocol::error_response(&Value::Null, &error);
-            let _ = writer.write_all(line.as_bytes());
-            let _ = writer.write_all(b"\n");
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return, // EOF
-            Ok(n) => pending.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // In-flight work is done (no buffered full line); stop
-                // waiting for more input only when shutting down.
-                if shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
+/// The `id` of a (possibly malformed) request line, so error responses
+/// stay correlatable; `null` when the line is not a JSON object.
+pub(crate) fn request_id(line: &str) -> Value {
+    serde_json::from_str::<Value>(line)
+        .ok()
+        .and_then(|v| v.get("id").cloned())
+        .unwrap_or(Value::Null)
 }
 
 /// Parses and executes one request line, rendering the response line.
@@ -239,11 +29,7 @@ pub fn handle_line(engine: &Engine, line: &str) -> String {
             crate::metrics::Metrics::bump(&engine.metrics.requests_error);
             // Echo the id even when validation fails so clients can still
             // correlate the error; truly malformed JSON leaves it null.
-            let id = serde_json::from_str::<Value>(line)
-                .ok()
-                .and_then(|v| v.get("id").cloned())
-                .unwrap_or(Value::Null);
-            return protocol::error_response(&id, &e);
+            return protocol::error_response(&request_id(line), &e);
         }
     };
     let started = Instant::now();
@@ -265,29 +51,67 @@ pub fn handle_line(engine: &Engine, line: &str) -> String {
 
 /// Single-shot mode: serves newline-delimited requests from `input` until
 /// EOF, writing one response line each to `output`. Returns the number of
-/// requests served.
+/// response lines written.
+///
+/// Input is framed as the reactor frames a connection: a [`LineFramer`]
+/// capped at `max_frame_len` bytes, lossy UTF-8 decoding, surrounding
+/// whitespace trimmed, blank frames skipped. A final line without its
+/// `\n` is still answered at EOF. A frame that outgrows the cap is
+/// answered with the reactor's `frame_too_large` error and ends the
+/// session.
 ///
 /// # Errors
 ///
-/// Propagates write failures (input errors end the stream instead).
-pub fn serve_stdio<R: BufRead, W: Write>(
+/// Propagates write failures (read errors end the stream instead).
+pub fn serve_stdio<R: Read, W: Write>(
     engine: &Engine,
-    input: R,
+    mut input: R,
     output: &mut W,
+    max_frame_len: usize,
 ) -> io::Result<usize> {
+    let mut framer = LineFramer::new(max_frame_len);
+    let mut chunk = [0u8; 16 * 1024];
     let mut served = 0;
-    for line in input.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
+    loop {
+        let n = match input.read(&mut chunk) {
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => 0,
+        };
+        // EOF terminates a pending partial line so it is answered too.
+        let bytes: &[u8] = match n {
+            0 if framer.has_partial() => b"\n",
+            0 => return Ok(served),
+            n => &chunk[..n],
+        };
+        // Push line by line, so every line completed before an oversized
+        // one is answered however the reads happened to split the input.
+        for piece in bytes.split_inclusive(|&b| b == b'\n') {
+            if let Err(FrameError::TooLarge { limit }) = framer.push(piece) {
+                let body = render_reject(engine, None, Reject::FrameTooLarge { limit });
+                write_line(output, &body)?;
+                return Ok(served + 1);
+            }
+            while let Some(raw) = framer.next_line() {
+                let text = String::from_utf8_lossy(&raw);
+                let line = text.trim();
+                if line.is_empty() {
+                    continue;
+                }
+                write_line(output, &handle_line(engine, line))?;
+                served += 1;
+            }
         }
-        let response = handle_line(engine, line.trim());
-        output.write_all(response.as_bytes())?;
-        output.write_all(b"\n")?;
-        output.flush()?;
-        served += 1;
+        if n == 0 {
+            return Ok(served);
+        }
     }
-    Ok(served)
+}
+
+fn write_line<W: Write>(output: &mut W, line: &str) -> io::Result<()> {
+    output.write_all(line.as_bytes())?;
+    output.write_all(b"\n")?;
+    output.flush()
 }
 
 /// A minimal blocking client for one request/response exchange, used by the
@@ -317,10 +141,21 @@ pub fn query_once<A: ToSocketAddrs>(addr: A, request_line: &str) -> io::Result<S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineConfig;
     use std::io::Cursor;
 
     // Single-line on purpose: the wire protocol is one request per line.
     const RELAY: &str = r#""topology": {"nodes": [[0,0],[50,0],[100,0]], "links": [[0,1],[1,2]], "alone_rates": [[54],[54]], "conflicts": [[0,1]]}"#;
+
+    const MAX_FRAME: usize = 1 << 20;
+
+    fn parse_lines(out: Vec<u8>) -> Vec<Value> {
+        String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect()
+    }
 
     #[test]
     fn stdio_round_trip() {
@@ -331,13 +166,9 @@ mod tests {
              {{\"query\": \"stats\"}}\n"
         );
         let mut out = Vec::new();
-        let served = serve_stdio(&engine, Cursor::new(input), &mut out).unwrap();
+        let served = serve_stdio(&engine, Cursor::new(input), &mut out, MAX_FRAME).unwrap();
         assert_eq!(served, 3);
-        let lines: Vec<Value> = String::from_utf8(out)
-            .unwrap()
-            .lines()
-            .map(|l| serde_json::from_str(l).unwrap())
-            .collect();
+        let lines = parse_lines(out);
         assert_eq!(lines[0].get("status").and_then(Value::as_str), Some("ok"));
         // Two conflicting 54 Mbps hops share the channel: 27 Mbps end to end.
         let bw = lines[0]["result"]["bandwidth_mbps"].as_f64().unwrap();
@@ -354,14 +185,42 @@ mod tests {
     }
 
     #[test]
-    fn tcp_round_trip_and_graceful_shutdown() {
-        let server = serve(ServerConfig::default()).unwrap();
-        let addr = server.local_addr();
-        let line = format!(r#"{{"query": "available_bandwidth", {RELAY}, "path": [0,1]}}"#);
-        let response: Value = serde_json::from_str(&query_once(addr, &line).unwrap()).unwrap();
-        assert_eq!(response.get("status").and_then(Value::as_str), Some("ok"));
-        let summary = server.shutdown();
-        assert!(summary.contains("ok=1"), "summary was: {summary}");
+    fn stdio_frames_input_like_the_reactor() {
+        // Invalid UTF-8 decodes lossily into a malformed request (an error
+        // response, not the end of the session), the blank frame gets no
+        // response, and the last line is answered without its `\n`.
+        let engine = Engine::new(EngineConfig::default());
+        let input: &[u8] =
+            b"{\"query\": \"stats\", \"id\": 1}\n\xff\xfe garbage\n   \n {\"query\": \"stats\", \"id\": 2} ";
+        let mut out = Vec::new();
+        assert_eq!(serve_stdio(&engine, input, &mut out, MAX_FRAME).unwrap(), 3);
+        let lines = parse_lines(out);
+        assert_eq!(lines.len(), 3);
+        assert_eq!(lines[0]["id"].as_u64(), Some(1));
+        assert_eq!(lines[1]["status"].as_str(), Some("error"));
+        assert_eq!(lines[1]["id"], Value::Null);
+        assert_eq!(lines[2]["status"].as_str(), Some("ok"));
+        assert_eq!(lines[2]["id"].as_u64(), Some(2));
+
+        // The first read ends inside a 100-byte frame, past the 64-byte
+        // cap: the frame is refused with the reactor's body and nothing
+        // after it is answered.
+        let engine = Engine::new(EngineConfig::default());
+        let head = [&b"{\"query\": \"stats\", \"id\": 1}\n"[..], &[b'x'; 100]].concat();
+        let input = head
+            .as_slice()
+            .chain(&b"\n{\"query\": \"stats\", \"id\": 3}\n"[..]);
+        let mut out = Vec::new();
+        assert_eq!(serve_stdio(&engine, input, &mut out, 64).unwrap(), 2);
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2);
+        let reference = Engine::new(EngineConfig::default());
+        assert_eq!(
+            lines[1],
+            render_reject(&reference, None, Reject::FrameTooLarge { limit: 64 })
+        );
+        assert!(lines[1].contains("frame_too_large"), "{}", lines[1]);
     }
 
     #[test]

@@ -1,16 +1,12 @@
-//! End-to-end tests of the daemon: concurrent clients against a live TCP
-//! server, agreement with direct library calls down to the bit, and
-//! backpressure behaviour at queue bound 1.
+//! End-to-end tests of the daemon: concurrent clients against a live
+//! reactor server, agreeing with direct library calls down to the bit.
 
 use awb_core::{available_bandwidth, AvailableBandwidthOptions};
 use awb_net::{DeclarativeModel, Path, Topology};
 use awb_phy::Rate;
-use awb_service::{serve, EngineConfig, ServerConfig};
+use awb_service::{serve_reactor, ReactorConfig, ReactorServerConfig};
 use serde_json::Value;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::sync::atomic::Ordering;
-use std::time::Duration;
 
 /// A relay chain of `hops` 54/36 Mbps links where adjacent links conflict —
 /// one topology per `hops` value, so different lengths are different cache
@@ -63,9 +59,12 @@ fn query(addr: std::net::SocketAddr, line: &str) -> Value {
 
 #[test]
 fn concurrent_clients_agree_with_the_library_bit_for_bit() {
-    let server = serve(ServerConfig {
-        workers: 4,
-        ..ServerConfig::default()
+    let server = serve_reactor(ReactorServerConfig {
+        reactor: ReactorConfig {
+            workers: 4,
+            ..ReactorConfig::default()
+        },
+        ..ReactorServerConfig::default()
     })
     .unwrap();
     let addr = server.local_addr();
@@ -121,7 +120,7 @@ fn concurrent_clients_agree_with_the_library_bit_for_bit() {
 
 #[test]
 fn cached_and_uncached_responses_are_byte_identical() {
-    let server = serve(ServerConfig::default()).unwrap();
+    let server = serve_reactor(ReactorServerConfig::default()).unwrap();
     let addr = server.local_addr();
     let line = chain_request(4);
     let cold = awb_service::server::query_once(addr, &line).unwrap();
@@ -138,57 +137,5 @@ fn cached_and_uncached_responses_are_byte_identical() {
     let warm: Value = serde_json::from_str(&warm).unwrap();
     assert_eq!(cold.get("cache").and_then(Value::as_str), Some("miss"));
     assert_eq!(warm.get("cache").and_then(Value::as_str), Some("hit"));
-    server.shutdown();
-}
-
-#[test]
-fn queue_bound_one_rejects_with_overloaded() {
-    let server = serve(ServerConfig {
-        workers: 1,
-        queue_capacity: 1,
-        engine: EngineConfig::default(),
-        ..ServerConfig::default()
-    })
-    .unwrap();
-    let addr = server.local_addr();
-
-    // Occupy the only worker with a connection that never sends a request.
-    let occupier = TcpStream::connect(addr).unwrap();
-    std::thread::sleep(Duration::from_millis(100));
-
-    // Fill the queue's single slot with a second idle connection.
-    let queued = TcpStream::connect(addr).unwrap();
-    std::thread::sleep(Duration::from_millis(100));
-
-    // The third connection must be rejected immediately with `overloaded`.
-    let rejected = TcpStream::connect(addr).unwrap();
-    let mut lines = BufReader::new(rejected.try_clone().unwrap()).lines();
-    let response: Value = serde_json::from_str(&lines.next().unwrap().unwrap()).unwrap();
-    assert_eq!(
-        response.get("status").and_then(Value::as_str),
-        Some("error")
-    );
-    assert_eq!(
-        response["error"].get("code").and_then(Value::as_str),
-        Some("overloaded"),
-        "response: {response}"
-    );
-    drop(rejected);
-
-    // Releasing the worker lets the queued connection be served normally.
-    drop(occupier);
-    let mut queued_write = queued.try_clone().unwrap();
-    queued_write
-        .write_all((chain_request(2) + "\n").as_bytes())
-        .unwrap();
-    queued_write.flush().unwrap();
-    let mut lines = BufReader::new(queued).lines();
-    let response: Value = serde_json::from_str(&lines.next().unwrap().unwrap()).unwrap();
-    assert_eq!(
-        response.get("status").and_then(Value::as_str),
-        Some("ok"),
-        "queued connection should be served after the worker frees up: {response}"
-    );
-
     server.shutdown();
 }

@@ -1,15 +1,16 @@
-//! Differential tests: the nonblocking reactor server must answer
-//! byte-identically to the blocking thread-pool server, and `admit_batch`
-//! must be indistinguishable from the sequential single-`admit` protocol
-//! it replaces.
+//! Differential tests: the reactor must answer byte-identically to
+//! [`handle_line`] run directly on an engine, and `admit_batch` must be
+//! indistinguishable from the sequential single-`admit` protocol it
+//! replaces.
 //!
-//! Both servers run the same engine code, so the only way they can
-//! diverge is through the serving stack itself — framing, dispatch order,
-//! response assembly. The comparison therefore strips nothing except
-//! `elapsed_us` (wall-time, necessarily different) and skips the `stats`
+//! The reactor runs the same engine code, so the only way it can diverge
+//! is through the serving stack itself — framing, dispatch order, response
+//! assembly. The comparison therefore masks nothing except the value of
+//! `elapsed_us` (wall time, necessarily different) and skips the `stats`
 //! verb (live gauges, plus a reactor-only section by design).
 
-use awb_service::{serve, serve_reactor, ReactorServerConfig, ServerConfig};
+use awb_service::server::handle_line;
+use awb_service::{serve_reactor, Engine, ReactorConfig, ReactorServerConfig};
 use serde_json::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -51,8 +52,8 @@ fn request_mix() -> Vec<String> {
 }
 
 /// Sends `lines` pipelined on one connection (blank line injected between
-/// them — both servers must skip it silently) and returns one response
-/// per request line.
+/// them — the reactor must skip it silently) and returns one response per
+/// request line.
 fn exchange(addr: SocketAddr, lines: &[String]) -> Vec<String> {
     let mut stream = TcpStream::connect(addr).expect("connect");
     let mut batch = String::new();
@@ -79,49 +80,55 @@ fn exchange(addr: SocketAddr, lines: &[String]) -> Vec<String> {
     responses
 }
 
-/// Removes the timing field, the only legitimately nondeterministic part
-/// of a response line.
-fn strip_elapsed(line: &str) -> Value {
-    let mut v: Value = serde_json::from_str(line).expect("response is JSON");
-    if let Value::Object(m) = &mut v {
-        m.remove("elapsed_us");
-    }
-    v
+/// Zeroes the digits of the `elapsed_us` value, the only legitimately
+/// nondeterministic bytes of a response line; everything else — key
+/// order, float formatting, whitespace — is compared as sent.
+fn mask_elapsed(line: &str) -> String {
+    const KEY: &str = "\"elapsed_us\":";
+    let Some(at) = line.find(KEY) else {
+        return line.to_string();
+    };
+    let value_start = at + KEY.len();
+    let rest = &line[value_start..];
+    let digits_start = rest.len() - rest.trim_start().len();
+    let digits = rest[digits_start..]
+        .bytes()
+        .take_while(u8::is_ascii_digit)
+        .count();
+    format!(
+        "{}0{}",
+        &line[..value_start + digits_start],
+        &rest[digits_start + digits..]
+    )
 }
 
 #[test]
-fn reactor_answers_byte_identically_to_blocking_server() {
-    let blocking = serve(ServerConfig::default()).expect("blocking server");
+fn reactor_answers_byte_identically_to_handle_line() {
     // One worker pins dispatch order, so cache-status provenance (miss,
-    // hit, coalesced) matches the blocking server's sequential handling
-    // of one connection.
-    let reactor = serve_reactor(ReactorServerConfig {
-        workers: 1,
+    // hit, coalesced) matches handling the lines one by one.
+    let config = ReactorServerConfig {
+        reactor: ReactorConfig {
+            workers: 1,
+            ..ReactorConfig::default()
+        },
         ..ReactorServerConfig::default()
-    })
-    .expect("reactor server");
+    };
+    let direct = Engine::new(config.engine);
+    let reactor = serve_reactor(config).expect("reactor server");
 
     let lines = request_mix();
-    let from_blocking = exchange(blocking.local_addr(), &lines);
     let from_reactor = exchange(reactor.local_addr(), &lines);
+    let from_direct: Vec<String> = lines.iter().map(|l| handle_line(&direct, l)).collect();
 
-    assert_eq!(from_blocking.len(), from_reactor.len());
-    for (i, (b, r)) in from_blocking.iter().zip(&from_reactor).enumerate() {
+    assert_eq!(from_direct.len(), from_reactor.len());
+    for (i, (d, r)) in from_direct.iter().zip(&from_reactor).enumerate() {
         assert_eq!(
-            strip_elapsed(b),
-            strip_elapsed(r),
-            "request {i} diverged:\n  blocking: {b}\n  reactor:  {r}"
+            mask_elapsed(d),
+            mask_elapsed(r),
+            "request {i} diverged:\n  handle_line: {d}\n  reactor:     {r}"
         );
     }
-    // The comparison is stronger than JSON equality: modulo the stripped
-    // timing field, the raw bytes must match too (same key order, same
-    // float formatting).
-    for (b, r) in from_blocking.iter().zip(&from_reactor) {
-        let strip = |s: &str| strip_elapsed(s).to_string();
-        assert_eq!(strip(b), strip(r));
-    }
     reactor.shutdown();
-    blocking.shutdown();
 }
 
 #[test]

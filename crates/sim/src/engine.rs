@@ -45,24 +45,6 @@ pub enum Contention {
     },
 }
 
-/// Which per-slot implementation [`Simulator::run`] executes.
-///
-/// Both engines simulate the **same** slot process and consume the RNG in
-/// the same order, so their reports are bit-for-bit identical (this is
-/// property-tested); the choice is a pure performance knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SimEngine {
-    /// The reference implementation: per-slot scans that call the model's
-    /// `node_hears`/`victim_max_rate` for every contender.
-    Generic,
-    /// Compiled slot kernels (§5j): hearing, interference and conflict
-    /// relations precompiled into word-packed `u64` masks, per-slot checks
-    /// reduced to AND/OR/popcount over a reused scratch arena — no per-slot
-    /// allocation.
-    #[default]
-    Compiled,
-}
-
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
@@ -77,8 +59,6 @@ pub struct SimConfig {
     pub contention: Contention,
     /// RNG seed for contention order and arrival phases.
     pub seed: u64,
-    /// Per-slot implementation (bit-identical results either way).
-    pub engine: SimEngine,
 }
 
 impl Default for SimConfig {
@@ -89,7 +69,6 @@ impl Default for SimConfig {
             rate_policy: RatePolicy::AloneMax,
             contention: Contention::OrderedCsma,
             seed: 1,
-            engine: SimEngine::Compiled,
         }
     }
 }
@@ -161,15 +140,18 @@ impl Simulator {
 
     /// Runs the simulation and returns the measurements.
     ///
+    /// Executes the compiled slot kernels (§5j): hearing, interference and
+    /// conflict relations precompiled into word-packed `u64` masks, per-slot
+    /// checks reduced to AND/OR/popcount over a reused scratch arena — no
+    /// per-slot allocation. The report is bit-for-bit the one
+    /// [`run_reference`](Simulator::run_reference) produces.
+    ///
     /// `model` must be the same model the simulator was built over.
     pub fn run<M: LinkRateModel>(&self, model: &M) -> SimReport {
-        match self.config.engine {
-            SimEngine::Generic => self.run_generic(model),
-            SimEngine::Compiled => crate::kernel::run_compiled(self, model),
-        }
+        crate::kernel::run_compiled(self, model)
     }
 
-    /// Builds the per-flow runtime state shared by both engines.
+    /// Builds the per-flow runtime state shared by both slot loops.
     pub(crate) fn sim_flows(&self) -> Vec<SimFlow> {
         self.flows
             .iter()
@@ -220,8 +202,13 @@ impl Simulator {
         }
     }
 
-    /// The reference per-slot implementation ([`SimEngine::Generic`]).
-    fn run_generic<M: LinkRateModel>(&self, model: &M) -> SimReport {
+    /// The reference slot loop: per-slot scans that ask the model's
+    /// `node_hears`/`victim_max_rate` for every contender. It simulates the
+    /// same slot process as [`run`](Simulator::run) and consumes the RNG in
+    /// the same order, so the reports are identical; it exists as the
+    /// oracle the kernel property tests and the kernel ablation compare
+    /// against, at several times the per-slot cost.
+    pub fn run_reference<M: LinkRateModel>(&self, model: &M) -> SimReport {
         let t = model.topology();
         let num_links = t.num_links();
         let num_nodes = t.num_nodes();

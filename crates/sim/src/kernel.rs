@@ -1,23 +1,23 @@
-//! Compiled slot kernels ([`SimEngine::Compiled`](crate::SimEngine)).
+//! Compiled slot kernels, the engine behind [`Simulator::run`].
 //!
-//! The generic engine re-asks the model the same questions every slot: "does
-//! this transmitter hear that granted link?" (a distance + path-loss
-//! computation per pair) and "which rate does this victim still decode?" (an
-//! allocation plus a power sum per granted link). This module splits the run
-//! into a **compile** step — hearing, interference and conflict relations
-//! flattened once into word-packed `u64` masks and power tables — and a
-//! **step** kernel whose per-slot work is a handful of AND/OR/popcount
-//! operations over a reused [`SlotScratch`] arena, with no per-slot
-//! allocation.
+//! The reference loop ([`Simulator::run_reference`]) re-asks the model the
+//! same questions every slot: "does this transmitter hear that granted
+//! link?" (a distance + path-loss computation per pair) and "which rate does
+//! this victim still decode?" (an allocation plus a power sum per granted
+//! link). This module splits the run into a **compile** step — hearing,
+//! interference and conflict relations flattened once into word-packed
+//! `u64` masks and power tables — and a **step** kernel whose per-slot work
+//! is a handful of AND/OR/popcount operations over a reused
+//! [`SlotScratch`] arena, with no per-slot allocation.
 //!
 //! # The bit-identity contract
 //!
-//! The compiled engine reproduces the generic engine **slot for slot,
+//! The compiled kernels reproduce the reference loop **slot for slot,
 //! bit for bit** (property-tested in `tests/proptest_kernels.rs`). Two
 //! disciplines make that possible:
 //!
 //! * **RNG consumption order** is part of the engine contract. Every
-//!   `gen_bool`/`gen_range`/`shuffle` call of the generic loop — including
+//!   `gen_bool`/`gen_range`/`shuffle` call of the reference loop — including
 //!   conditional draws like DCF's backoff draw before the busy check, and
 //!   the per-slot shuffle of the backlogged contender list (collected in
 //!   ascending link order) — happens at the same point of the compiled
@@ -119,7 +119,7 @@ fn compile<M: LinkRateModel>(sim: &Simulator, model: &M) -> CompiledSim {
     let tx: Vec<usize> = t.links().map(|l| l.tx().index()).collect();
 
     // Busy-accounting relation first: O(nodes × links) model calls, the
-    // same precompute the generic engine performs.
+    // same precompute the reference loop performs.
     let mut hearer_nodes = vec![0u64; num_links * node_words];
     for l in t.links() {
         let row = &mut hearer_nodes[l.id().index() * node_words..][..node_words];
@@ -340,7 +340,7 @@ fn step_slot<M: LinkRateModel>(
 ) {
     let compiled = plan.compiled;
 
-    // Arrivals — the same RNG draws as the generic loop (dead first
+    // Arrivals — the same RNG draws as the reference loop (dead first
     // hops draw nothing).
     for fi in 0..plan.first_link.len() {
         let first = plan.first_link[fi];
@@ -432,7 +432,7 @@ fn step_slot<M: LinkRateModel>(
                     continue;
                 }
                 // The draw happens before the busy check, exactly like
-                // the generic loop's `get_or_insert_with`.
+                // the reference loop's `get_or_insert_with`.
                 let counter =
                     state.backoff[li].get_or_insert_with(|| rng.gen_range(0..state.cw[li]));
                 if bitset::test_bit(&scratch.busy_last, compiled.tx[li]) {
@@ -502,8 +502,8 @@ fn step_slot<M: LinkRateModel>(
     std::mem::swap(&mut scratch.busy, &mut scratch.busy_last);
 }
 
-/// Runs `sim` over `model` with the compiled kernels; the entry point of
-/// [`SimEngine::Compiled`](crate::SimEngine).
+/// Runs `sim` over `model` with the compiled kernels; the body of
+/// [`Simulator::run`].
 pub(crate) fn run_compiled<M: LinkRateModel>(sim: &Simulator, model: &M) -> SimReport {
     let compiled = compile(sim, model);
     let num_links = compiled.num_links;
@@ -535,7 +535,7 @@ pub(crate) fn run_compiled<M: LinkRateModel>(sim: &Simulator, model: &M) -> SimR
     // All per-hop queues flattened into one arena (flow `fi`'s hop `hi`
     // lives at `offsets[fi] + hi`), and each link's feeder list compiled to
     // arena slots — the backlog sum and the drain cascade then walk
-    // contiguous memory in exactly the generic engine's visit order.
+    // contiguous memory in exactly the reference loop's visit order.
     let num_flows = flows.len();
     let mut offsets = Vec::with_capacity(num_flows);
     let mut total_hops = 0usize;

@@ -57,5 +57,5 @@ mod engine;
 mod kernel;
 mod report;
 
-pub use engine::{Contention, RatePolicy, SimConfig, SimEngine, Simulator};
+pub use engine::{Contention, RatePolicy, SimConfig, Simulator};
 pub use report::SimReport;

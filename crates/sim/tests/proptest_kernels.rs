@@ -1,13 +1,14 @@
-//! The compiled-engine contract: [`SimEngine::Compiled`] reproduces
-//! [`SimEngine::Generic`] **bit for bit** — same RNG consumption order, same
-//! float operation order, `assert_eq!` on the whole [`SimReport`] — across
-//! random declarative and SINR models, all three contention modes, and mixed
-//! saturated/rate-limited traffic. Plus: the campaign fan-out is
-//! bit-identical to the sequential loop for any thread count.
+//! The compiled-kernel contract: [`Simulator::run`] reproduces
+//! [`Simulator::run_reference`] **bit for bit** — same RNG consumption
+//! order, same float operation order, `assert_eq!` on the whole
+//! [`SimReport`] — across random declarative and SINR models, all three
+//! contention modes, and mixed saturated/rate-limited traffic. Plus: the
+//! campaign fan-out is bit-identical to the sequential loop for any thread
+//! count.
 
 use awb_net::{DeclarativeModel, LinkId, LinkRateModel, Path, Topology};
 use awb_phy::{Phy, Rate};
-use awb_sim::{campaign, Contention, SimConfig, SimEngine, Simulator};
+use awb_sim::{campaign, Contention, SimConfig, Simulator};
 use awb_workloads::{chain_model, RandomTopology, RandomTopologyConfig};
 use proptest::prelude::*;
 
@@ -22,8 +23,8 @@ fn contention() -> impl Strategy<Value = Contention> {
     ]
 }
 
-/// Runs the same configured simulation under both engines and demands exact
-/// report equality.
+/// Runs the same configured simulation through the compiled kernels and the
+/// reference loop and demands exact report equality.
 fn assert_engines_agree<M: awb_net::LinkRateModel>(
     model: &M,
     flows: &[(Path, Option<f64>)],
@@ -31,25 +32,21 @@ fn assert_engines_agree<M: awb_net::LinkRateModel>(
     seed: u64,
     slots: u64,
 ) {
-    let run = |engine| {
-        let mut sim = Simulator::new(
-            model,
-            SimConfig {
-                slots,
-                seed,
-                contention,
-                engine,
-                ..SimConfig::default()
-            },
-        );
-        for (path, demand) in flows {
-            sim.add_flow(path.clone(), *demand);
-        }
-        sim.run(model)
-    };
-    let generic = run(SimEngine::Generic);
-    let compiled = run(SimEngine::Compiled);
-    assert_eq!(generic, compiled, "{contention:?} seed {seed}");
+    let mut sim = Simulator::new(
+        model,
+        SimConfig {
+            slots,
+            seed,
+            contention,
+            ..SimConfig::default()
+        },
+    );
+    for (path, demand) in flows {
+        sim.add_flow(path.clone(), *demand);
+    }
+    let reference = sim.run_reference(model);
+    let compiled = sim.run(model);
+    assert_eq!(reference, compiled, "{contention:?} seed {seed}");
 }
 
 /// A random declarative chain: per-link rates, conflicts within a window,
