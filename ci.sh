@@ -15,6 +15,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> e2ebench build + self-tests (the repo benchmark compiles against the service API)"
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "==> awb-audit --deny (R1-R4 lexical lints + R5 unsafe-confinement / R6 lock-order / R7 hot-path-alloc / R8 reactor-blocking)"
 # Ratchet mode: audit-baseline.json records the accepted hot-path allocation
 # sites on the delta-recompile path (compiling a dirty component allocates by

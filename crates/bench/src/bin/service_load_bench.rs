@@ -11,27 +11,33 @@
 //!   session sweep);
 //! - **phase**: `cold` (per-request distinct demands — every request pays
 //!   an LP solve; the compiled instance warms once per universe) vs `warm`
-//!   (the identical request sequence replayed over the *same keep-alive
-//!   connections* the cold phase established — result-cache hits, no
-//!   reconnect storm).
+//!   (each connection replays its first cold request over the *same
+//!   keep-alive connections* the cold phase established — result-cache
+//!   hits, no reconnect storm).
 //!
-//! Each cell reports sustained request and query throughput plus
-//! p50/p99/p999 latency. Responses are checked for `"status": "ok"` so a
-//! server shedding load cannot fake throughput; overload rejections count as
-//! errors and fail the run.
+//! The server's result cache holds every distinct request of the grid, so
+//! the warm rows measure result-cache replay rather than LP re-solves.
+//!
+//! Each cell reports sustained request and query throughput, p50/p99/p999
+//! latency, and the result-cache hits and misses it caused. Responses are
+//! checked for `"status": "ok"` so a server shedding load cannot fake
+//! throughput; overload rejections count as errors and fail the run.
 //!
 //! `--smoke` runs a 64-connection grid and writes nothing — the CI hook
 //! that keeps the server serving this workload. Both runs assert that
-//! every request is answered and none errors.
+//! every request is answered, none errors, and no warm request misses the
+//! result cache.
 
 #![forbid(unsafe_code)]
 
 use awb_reactor::{Interest, Poller};
-use awb_service::{serve_reactor, ReactorConfig, ReactorServerConfig};
+use awb_service::metrics::Metrics;
+use awb_service::{serve_reactor, EngineConfig, ReactorConfig, ReactorServerConfig};
 use serde::Serialize;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 /// Inline 3-node relay topology: two conflicting 54 Mbps hops, so link 0
@@ -86,6 +92,10 @@ struct Row {
     p99_us: u64,
     p999_us: u64,
     errors: usize,
+    /// Result-cache hits the cell caused.
+    result_cache_hits: u64,
+    /// Result-cache misses the cell caused (LP solves).
+    result_cache_misses: u64,
 }
 
 #[derive(Serialize)]
@@ -346,15 +356,26 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
+/// The server's (result-cache hits, misses) so far.
+fn result_cache_counts(metrics: &Metrics) -> (u64, u64) {
+    (
+        metrics.result_cache_hits.load(Ordering::Relaxed),
+        metrics.result_cache_misses.load(Ordering::Relaxed),
+    )
+}
+
 fn run_cell(
     poller: &Poller,
     conns: &mut [ClientConn],
     grid: &GridConfig,
     mode: Mode,
     phase: Phase,
+    metrics: &Metrics,
 ) -> Row {
+    let (hits_before, misses_before) = result_cache_counts(metrics);
     let (mut latencies, errors, elapsed) =
         drive(poller, conns, grid, mode, phase).expect("load generator I/O failed");
+    let (hits_after, misses_after) = result_cache_counts(metrics);
     latencies.sort_unstable();
     let requests = latencies.len();
     let per_request = match mode {
@@ -382,6 +403,8 @@ fn run_cell(
         p99_us: percentile(&latencies, 0.99),
         p999_us: percentile(&latencies, 0.999),
         errors,
+        result_cache_hits: hits_after - hits_before,
+        result_cache_misses: misses_after - misses_before,
     }
 }
 
@@ -389,13 +412,13 @@ fn run_cell(
 /// Both phases share one keep-alive connection set: the warm phase replays
 /// over the very sockets the cold phase drove, so its numbers measure
 /// result-cache replay rather than a fresh connect storm.
-fn run_mode(addr: SocketAddr, grid: &GridConfig, mode: Mode) -> Vec<Row> {
+fn run_mode(addr: SocketAddr, grid: &GridConfig, mode: Mode, metrics: &Metrics) -> Vec<Row> {
     let poller = Poller::new().expect("load generator poller");
     let mut conns =
         connect_all(&poller, addr, grid.connections).expect("load generator connect failed");
     vec![
-        run_cell(&poller, &mut conns, grid, mode, Phase::Cold),
-        run_cell(&poller, &mut conns, grid, mode, Phase::Warm),
+        run_cell(&poller, &mut conns, grid, mode, Phase::Cold, metrics),
+        run_cell(&poller, &mut conns, grid, mode, Phase::Warm, metrics),
     ]
 }
 
@@ -406,12 +429,18 @@ fn run_grid(grid: &GridConfig) -> Vec<Row> {
             max_connections: grid.connections + 64,
             ..ReactorConfig::default()
         },
-        ..ReactorServerConfig::default()
+        engine: EngineConfig {
+            // Every distinct request of the grid: both modes' cold phases
+            // (the warm phase replays each connection's first request).
+            result_cache_capacity: 2 * grid.connections * grid.iterations,
+            ..EngineConfig::default()
+        },
     })
     .expect("reactor server failed to start");
     let addr = server.local_addr();
-    let mut rows = run_mode(addr, grid, Mode::Single);
-    rows.extend(run_mode(addr, grid, Mode::Batch));
+    let metrics = &server.engine().metrics;
+    let mut rows = run_mode(addr, grid, Mode::Single, metrics);
+    rows.extend(run_mode(addr, grid, Mode::Batch, metrics));
     server.shutdown();
     rows
 }
@@ -419,7 +448,8 @@ fn run_grid(grid: &GridConfig) -> Vec<Row> {
 fn print_row(r: &Row) {
     println!(
         "{:>6} {:>4}: {:>6} conns, {:>6} reqs in {:>9.1} ms — {:>9.0} req/s \
-         ({:>9.0} queries/s), p50 {:>7} µs, p99 {:>7} µs, p999 {:>7} µs, errors {}",
+         ({:>9.0} queries/s), p50 {:>7} µs, p99 {:>7} µs, p999 {:>7} µs, errors {}, \
+         result cache {}/{}",
         r.mode,
         r.phase,
         r.connections,
@@ -431,6 +461,8 @@ fn print_row(r: &Row) {
         r.p99_us,
         r.p999_us,
         r.errors,
+        r.result_cache_hits,
+        r.result_cache_hits + r.result_cache_misses,
     );
 }
 
@@ -452,6 +484,13 @@ fn main() {
             "{}/{} dropped requests",
             r.mode, r.phase
         );
+        if r.phase == "warm" {
+            assert_eq!(
+                r.result_cache_misses, 0,
+                "{} warm replay missed the result cache",
+                r.mode
+            );
+        }
     }
 
     if smoke {

@@ -360,15 +360,13 @@ fn pricing_args(args: &Args) -> Result<(awb_core::PricingMode, f64, usize, usize
 /// BYTES` caps request frames in both modes.
 /// `--enum-engine auto|generic|compiled[:N]` selects the set-enumeration
 /// engine and `--solver full|colgen` the LP strategy (both pure
-/// performance knobs; results are identical) and `--shards N` splits the
-/// compiled-instance cache.
+/// performance knobs; results are identical).
 pub fn serve(args: &Args) -> CmdResult {
     use awb_service::{Engine, EngineConfig, ReactorConfig, ReactorServerConfig};
     let (pricing, stab_alpha, pricing_threads, column_pool_cap) = pricing_args(args)?;
     let engine_config = EngineConfig {
         enumeration_engine: parse_engine_kind(args.get("enum-engine").unwrap_or("auto"))?,
         solver: parse_solver_kind(args.get("solver").unwrap_or("full"))?,
-        shards: args.get_or("shards", 8usize)?.max(1),
         pricing,
         stab_alpha,
         pricing_threads,

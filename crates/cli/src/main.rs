@@ -15,7 +15,7 @@
 //!               [--seed 7] [--json]
 //! awb scenario2 [--json]
 //! awb serve     [--addr 127.0.0.1:4810] [--workers N] [--queue N] [--stdio]
-//!               [--shards 8] [--max-frame BYTES] [--drain-ms 5000]
+//!               [--max-frame BYTES] [--drain-ms 5000]
 //!               [--enum-engine auto|generic|compiled[:N]] [--solver full|colgen]
 //!               [--pricing heuristic|exact] [--stab-alpha A] [--pricing-threads N]
 //! awb query     [--addr host:port] [--request '<json>'] [--solver full|colgen]
@@ -45,7 +45,7 @@ commands:
   serve       run the admission-control daemon (JSON lines over TCP,
               served by an epoll reactor — SIGTERM drains and exits 0;
               --stdio for single-shot stdin/stdout mode;
-              --shards N instance-cache shards, --max-frame BYTES frame cap;
+              --max-frame BYTES frame cap;
               --enum-engine auto|generic|compiled[:N] picks the enumerator;
               --solver full|colgen picks the LP strategy;
               --pricing heuristic|exact, --stab-alpha A, and

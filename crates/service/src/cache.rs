@@ -48,7 +48,7 @@ impl<V> LruCache<V> {
 
     /// Like [`LruCache::insert`] for a value that is already shared —
     /// avoids cloning when the producer holds an [`Arc`] (e.g. a coalesced
-    /// enumeration result).
+    /// instance build).
     pub fn insert_shared(&mut self, key: u64, value: Arc<V>) -> Arc<V> {
         if self.capacity == 0 {
             return value;

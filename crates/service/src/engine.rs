@@ -20,29 +20,33 @@
 //!    through the shortest-representation formatter, so a cached answer is
 //!    byte-identical to a recomputed one).
 //!
-//! Misses on the instance cache are *coalesced*: concurrent requests for
-//! the same instance elect one leader to compile while the rest block for
-//! its result ([`crate::coalesce`]).
+//! Instances are filled on demand, and `Engine::instance` alone decides
+//! how a missing one is obtained. Concurrent misses on the same instance
+//! are *coalesced*: one leader builds it while the rest block for its
+//! result ([`crate::coalesce`]). The leader patches the parent topology's
+//! cached instance when `update` produced the queried topology from one
+//! ([`CompiledInstance::apply_delta`] recompiles only the conflict
+//! components the delta touched), and compiles cold otherwise. `update`
+//! itself never touches instances, so it pays nothing for the ones that
+//! are never queried again.
 
 use crate::cache::LruCache;
-use crate::coalesce::Role;
+use crate::coalesce::{Coalescer, Role};
 use crate::lock::lock_recover;
 use crate::metrics::Metrics;
 use crate::protocol::{
     CacheStatus, ErrorCode, FlowSpec, QueryKind, Request, ServiceError, TopologyRef,
 };
-use crate::shards::ShardedLru;
 use crate::spec::{FnvHasher, TopologySpec};
 use awb_core::{
     link_universe, AvailableBandwidth, AvailableBandwidthOptions, CompiledInstance, CoreError,
-    DeltaReuse, Flow, PricingMode, Session, SolverKind, UnitCache, DEFAULT_RETENTION_EPOCHS,
+    Flow, PricingMode, Session, SolverKind, UnitCache,
 };
 use awb_estimate::{Estimator, Hop, IdleMap};
-use awb_net::{LinkRateModel, Path};
+use awb_net::{LinkRateModel, Path, TopologyDelta};
 use awb_sets::{EngineKind, EnumerationOptions};
 use serde_json::{Map, Value};
 use std::collections::BTreeMap;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -55,28 +59,19 @@ pub struct ResolvedTopology {
     /// The canonical spec itself — kept so `update` can patch it
     /// index-preservingly and register the result.
     pub spec: TopologySpec,
-}
-
-/// One live compiled-instance record: enough to find the cached instance
-/// again (`key`) and to re-key it after a topology update (`universe`,
-/// `options`). The sharded LRU itself is deliberately not iterable, so the
-/// engine keeps this side index per topology hash.
-#[derive(Debug, Clone)]
-struct IndexedInstance {
-    key: u64,
-    universe: Vec<awb_net::LinkId>,
-    options: AvailableBandwidthOptions,
+    /// For a topology `update` produced: the content hash it was patched
+    /// from and the delta leading here, so an instance-cache miss can
+    /// patch the parent's cached instance instead of compiling. `None`
+    /// for registered and inline specs, and for updates that left the
+    /// content hash unchanged.
+    pub parent: Option<(u64, TopologyDelta)>,
 }
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Capacity of the compiled-instance LRU (split across the shards).
+    /// Capacity of the compiled-instance LRU.
     pub sets_cache_capacity: usize,
-    /// Number of independent instance-cache shards. Lookups for different
-    /// instances never contend; same-instance compiles still coalesce
-    /// within a shard.
-    pub shards: usize,
     /// Capacity of the rendered-result LRU.
     pub result_cache_capacity: usize,
     /// Capacity of the built-model LRU for inline (unregistered) specs.
@@ -93,10 +88,10 @@ pub struct EngineConfig {
     /// order requests arrive in.
     pub solver: SolverKind,
     /// Compile per conflict component instead of per whole universe.
-    /// Answers are bit-identical either way; `true` is what makes the
-    /// `update` verb's component-granular instance patching effective
-    /// (an untouched component is reused without recompilation), at the
-    /// cost of storing the component adjacency alongside each instance.
+    /// Answers are bit-identical either way; `true` is what makes patching
+    /// an instance after an `update` component-granular (an untouched
+    /// component is reused without recompilation), at the cost of storing
+    /// the component adjacency alongside each instance.
     pub decompose: bool,
     /// Column-pricing strategy under [`SolverKind::ColumnGeneration`].
     /// Heuristic-first vs exact-only only steers how columns are searched
@@ -120,7 +115,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             sets_cache_capacity: 128,
-            shards: 8,
             result_cache_capacity: 1024,
             model_cache_capacity: 64,
             enumeration_engine: EngineKind::Auto,
@@ -141,34 +135,15 @@ pub struct Engine {
     /// Built models for inline specs (evictable, unlike the registry).
     models: Mutex<LruCache<ResolvedTopology>>,
     /// Compiled per-universe instances (set pools or pricing oracles),
-    /// sharded so concurrent lookups for different instances never
-    /// contend; compiles of the same instance coalesce within a shard.
-    instances: ShardedLru<CompiledInstance, Result<CompiledInstance, CoreError>>,
-    /// Per-topology index of live instance-cache entries, so `update` can
-    /// migrate them (entries whose instance has been evicted are dropped
-    /// lazily at update time).
-    instance_index: Mutex<BTreeMap<u64, Vec<IndexedInstance>>>,
-    /// Content-hashed compiled units shared across topology updates: an
-    /// oscillating topology (A → B → A) re-materializes A's components
-    /// from here instead of recompiling them.
-    unit_cache: Mutex<UnitCache>,
+    /// filled on demand by `Engine::instance`.
+    instances: Mutex<LruCache<CompiledInstance>>,
+    /// Concurrent misses on the same instance share one compile or patch.
+    builds: Coalescer<Result<Arc<CompiledInstance>, CoreError>>,
     /// Rendered results.
     results: Mutex<LruCache<Value>>,
-    /// Engine used for cold set-pool builds.
-    enumeration_engine: EngineKind,
-    /// LP solve strategy for available-bandwidth queries.
-    solver: SolverKind,
-    /// Whether compiled instances decompose into per-component units.
-    decompose: bool,
-    /// Pricing strategy under column generation (constant per process, so
-    /// it stays out of the instance-cache key).
-    pricing: PricingMode,
-    /// Dual-smoothing factor for stage-B pricing.
-    stab_alpha: f64,
-    /// Per-solve pricing thread count.
-    pricing_threads: usize,
-    /// Per-component colgen pool cap (0 = unbounded).
-    column_pool_cap: usize,
+    /// The solve options every Eq. 6 query runs under; only the request's
+    /// `max_set_size` varies (`Engine::solve_options`).
+    options: AvailableBandwidthOptions,
     /// Reactor-core counters, attached when the nonblocking server fronts
     /// this engine; merged into `stats` responses.
     reactor_metrics: Mutex<Option<Arc<awb_reactor::ReactorMetrics>>>,
@@ -200,17 +175,22 @@ impl Engine {
         Engine {
             registry: Mutex::new(BTreeMap::new()),
             models: Mutex::new(LruCache::new(config.model_cache_capacity)),
-            instances: ShardedLru::new(config.shards, config.sets_cache_capacity),
-            instance_index: Mutex::new(BTreeMap::new()),
-            unit_cache: Mutex::new(UnitCache::new(DEFAULT_RETENTION_EPOCHS)),
+            instances: Mutex::new(LruCache::new(config.sets_cache_capacity)),
+            builds: Coalescer::new(),
             results: Mutex::new(LruCache::new(config.result_cache_capacity)),
-            enumeration_engine: config.enumeration_engine,
-            solver: config.solver,
-            decompose: config.decompose,
-            pricing: config.pricing,
-            stab_alpha: config.stab_alpha,
-            pricing_threads: config.pricing_threads,
-            column_pool_cap: config.column_pool_cap,
+            options: AvailableBandwidthOptions {
+                enumeration: EnumerationOptions {
+                    engine: config.enumeration_engine,
+                    ..EnumerationOptions::default()
+                },
+                solver: config.solver,
+                decompose: config.decompose,
+                pricing: config.pricing,
+                stab_alpha: config.stab_alpha,
+                pricing_threads: config.pricing_threads,
+                column_pool_cap: config.column_pool_cap,
+                ..AvailableBandwidthOptions::default()
+            },
             reactor_metrics: Mutex::new(None),
             metrics: Metrics::new(),
         }
@@ -221,20 +201,21 @@ impl Engine {
         *lock_recover(&self.reactor_metrics) = Some(metrics);
     }
 
-    /// Renders the `stats` payload: service counters, per-shard instance
-    /// cache state, and (when attached) the reactor's event-loop gauges.
+    /// Renders the `stats` payload: service counters, instance-cache
+    /// occupancy, and (when attached) the reactor's event-loop gauges.
+    /// Instance-cache hits and misses are the top-level `sets_cache_*`
+    /// counters.
     fn stats_value(&self) -> Value {
         let mut value = self.metrics.to_value();
         if let Value::Object(m) = &mut value {
-            m.insert("instance_shards".into(), self.instances.stats_value());
-            let unit_cache = lock_recover(&self.unit_cache);
-            let (hits, misses) = unit_cache.stats();
-            let mut u = Map::new();
-            u.insert("hits".into(), Value::Number(hits as f64));
-            u.insert("misses".into(), Value::Number(misses as f64));
-            u.insert("len".into(), Value::Number(unit_cache.len() as f64));
-            drop(unit_cache);
-            m.insert("unit_cache".into(), Value::Object(u));
+            let (len, evictions) = {
+                let instances = lock_recover(&self.instances);
+                (instances.len(), instances.evictions())
+            };
+            let mut c = Map::new();
+            c.insert("len".into(), Value::Number(len as f64));
+            c.insert("evictions".into(), Value::Number(evictions as f64));
+            m.insert("instance_cache".into(), Value::Object(c));
             if let Some(reactor) = lock_recover(&self.reactor_metrics).as_ref() {
                 let mut r = Map::new();
                 for (name, v) in reactor.snapshot() {
@@ -329,6 +310,7 @@ impl Engine {
                     model: built.model,
                     content_hash: built.content_hash,
                     spec: spec.clone(),
+                    parent: None,
                 };
                 Ok(lock_recover(&self.models).insert(hash, resolved))
             }
@@ -363,6 +345,7 @@ impl Engine {
                 model: built.model,
                 content_hash: hash,
                 spec: spec.clone(),
+                parent: None,
             }),
         );
         Ok((Value::Object(m), None))
@@ -387,42 +370,28 @@ impl Engine {
         Ok((new_path, flows))
     }
 
-    fn enumeration_options(&self, request: &Request) -> EnumerationOptions {
-        EnumerationOptions {
-            max_set_size: request.max_set_size,
-            engine: self.enumeration_engine,
-            ..EnumerationOptions::default()
-        }
-    }
-
-    /// The solve options every Eq. 6 query in this engine runs under.
+    /// The engine's solve options with the request's `max_set_size`.
     fn solve_options(&self, request: &Request) -> AvailableBandwidthOptions {
-        AvailableBandwidthOptions {
-            enumeration: self.enumeration_options(request),
-            solver: self.solver,
-            decompose: self.decompose,
-            pricing: self.pricing,
-            stab_alpha: self.stab_alpha,
-            pricing_threads: self.pricing_threads,
-            column_pool_cap: self.column_pool_cap,
-            ..AvailableBandwidthOptions::default()
-        }
+        let mut options = self.options;
+        options.enumeration.max_set_size = request.max_set_size;
+        options
     }
 
-    /// The key identifying a compiled instance: topology, universe and the
-    /// options that shape the compiled artifact. The enumeration engine
-    /// choice is deliberately **not** part of the key: all engines return
-    /// byte-identical pools, so an instance built by one engine is a valid
-    /// hit for any other. Under column generation the enumeration options
-    /// are irrelevant (nothing is enumerated) and stay out of the key, so
-    /// `admit` sweeps varying `max_set_size` still share one oracle.
+    /// The key identifying a compiled instance: topology content hash,
+    /// universe and the options that shape the compiled artifact. The
+    /// enumeration engine choice is deliberately **not** part of the key:
+    /// all engines return byte-identical pools, so an instance built by one
+    /// engine is a valid hit for any other. Under column generation the
+    /// enumeration options are irrelevant (nothing is enumerated) and stay
+    /// out of the key, so `admit` sweeps varying `max_set_size` still share
+    /// one oracle.
     fn instance_key(
-        resolved: &ResolvedTopology,
+        topology_hash: u64,
         universe: &[awb_net::LinkId],
         options: &AvailableBandwidthOptions,
     ) -> u64 {
         let mut h = FnvHasher::default();
-        h.write_u64(resolved.content_hash);
+        h.write_u64(topology_hash);
         h.write_u64(universe.len() as u64);
         for l in universe {
             h.write_u64(l.index() as u64);
@@ -478,7 +447,7 @@ impl Engine {
     }
 
     /// Returns the compiled instance for `(resolved, universe, options)`,
-    /// compiling it (coalesced) on a miss. The second component tells the
+    /// building it (coalesced) on a miss. The second component tells the
     /// caller how the instance was obtained.
     fn instance(
         &self,
@@ -486,83 +455,82 @@ impl Engine {
         universe: &[awb_net::LinkId],
         options: &AvailableBandwidthOptions,
     ) -> Result<(Arc<CompiledInstance>, CacheStatus), ServiceError> {
-        let key = Engine::instance_key(resolved, universe, options);
-        if let Some(instance) = self.instances.get(key) {
+        let key = Engine::instance_key(resolved.content_hash, universe, options);
+        let cached = lock_recover(&self.instances).get(key);
+        if let Some(instance) = cached {
             Metrics::bump(&self.metrics.sets_cache_hits);
             return Ok((instance, CacheStatus::SetsHit));
         }
-        let (compiled, role) = self.instances.coalesce(key, || {
-            let model: &(dyn LinkRateModel + Send + Sync) = &*resolved.model;
+        let (built, role) = self.builds.run(key, || {
             let started = Instant::now();
-            let compiled = CompiledInstance::compile(&model, universe, options);
+            let built = self
+                .patch_or_compile(resolved, universe, options)
+                .map(Arc::new);
             self.metrics.enumeration_latency.record(started.elapsed());
-            compiled
+            if let Ok(instance) = &built {
+                lock_recover(&self.instances).insert_shared(key, Arc::clone(instance));
+            }
+            built
         });
-        let (compiled, status) = match role {
+        let status = match role {
             Role::Leader => {
                 Metrics::bump(&self.metrics.sets_cache_misses);
-                let compiled = compiled.ok_or_else(|| {
-                    ServiceError::new(ErrorCode::Internal, "coalescing leader produced no result")
-                })?;
-                (compiled, CacheStatus::Miss)
+                CacheStatus::Miss
             }
             Role::Follower => {
                 Metrics::bump(&self.metrics.coalesced);
-                let compiled = compiled.ok_or_else(|| {
-                    ServiceError::new(
-                        ErrorCode::Internal,
-                        "coalesced compilation failed in the leading request",
-                    )
-                })?;
-                (compiled, CacheStatus::Coalesced)
+                CacheStatus::Coalesced
             }
         };
-        match &*compiled {
-            Ok(instance) => {
-                let shared = if status == CacheStatus::Miss {
-                    self.record_instance(resolved.content_hash, key, universe, options);
-                    self.instances.insert(key, instance.clone())
-                } else {
-                    Arc::new(instance.clone())
-                };
-                Ok((shared, status))
-            }
+        let built = built.ok_or_else(|| {
+            ServiceError::new(
+                ErrorCode::Internal,
+                "coalesced compilation failed in the leading request",
+            )
+        })?;
+        match &*built {
+            Ok(instance) => Ok((Arc::clone(instance), status)),
             Err(e) => Err(core_error(e.clone())),
         }
     }
 
-    /// Records a live instance-cache entry in the per-topology side index.
-    fn record_instance(
+    /// Builds an instance the cache lacks. When `update` produced
+    /// `resolved` and the parent topology's instance for the same universe
+    /// and options is cached, patches it with
+    /// [`CompiledInstance::apply_delta`], recompiling only the conflict
+    /// components the delta touched. Otherwise, or when the patch fails
+    /// because the delta removed a universe link, compiles cold.
+    fn patch_or_compile(
         &self,
-        topology_hash: u64,
-        key: u64,
+        resolved: &ResolvedTopology,
         universe: &[awb_net::LinkId],
         options: &AvailableBandwidthOptions,
-    ) {
-        let mut index = lock_recover(&self.instance_index);
-        let entries = index.entry(topology_hash).or_default();
-        if !entries.iter().any(|e| e.key == key) {
-            entries.push(IndexedInstance {
-                key,
-                universe: universe.to_vec(),
-                options: *options,
-            });
+    ) -> Result<CompiledInstance, CoreError> {
+        let model: &(dyn LinkRateModel + Send + Sync) = &*resolved.model;
+        if let Some((parent_hash, delta)) = &resolved.parent {
+            let parent_key = Engine::instance_key(*parent_hash, universe, options);
+            let parent = lock_recover(&self.instances).get(parent_key);
+            let patched = parent.map(|p| p.apply_delta(&model, delta, &mut UnitCache::default()));
+            if let Some(Ok((instance, reuse))) = patched {
+                self.metrics.record_patch(&reuse);
+                return Ok(instance);
+            }
         }
+        CompiledInstance::compile(&model, universe, options)
     }
 
     /// The dynamic-topology patch path (`update`): applies the request's
-    /// [`crate::spec::DeltaSpec`] to the resolved topology, registers the
-    /// patched topology under its new content hash, and migrates every live
-    /// compiled instance of the old topology with component-granular
-    /// incremental recompilation (`CompiledInstance::apply_delta`) instead
-    /// of letting it be recompiled from scratch on the next query.
+    /// [`crate::spec::DeltaSpec`] to the resolved topology and registers the
+    /// patched topology under its new content hash, together with its
+    /// parent's hash and the core delta. Compiled instances are left alone:
+    /// the first query that misses on the new topology patches the parent's
+    /// cached instance (`Engine::instance`).
     ///
-    /// The whole update is keyed off the delta hash chain
+    /// The update is keyed off the delta hash chain
     /// `fnv(old topology hash, delta chain hash)`: replaying the identical
-    /// update is a result-cache hit that performs no work, and each
-    /// migrated instance goes through the per-shard coalescer under its
-    /// *new* key, so a concurrent query for the patched topology shares the
-    /// patch instead of compiling cold.
+    /// update is a result-cache hit that performs no work. The reply keeps
+    /// its `instances_patched` and `reuse` fields, which always read 0; the
+    /// `stats` counters of the same names count the lazy patches.
     // awb-audit: hot
     fn update(
         &self,
@@ -597,65 +565,12 @@ impl Engine {
             model: built.model,
             content_hash: new_hash,
             spec: patched_spec,
+            parent: (new_hash != resolved.content_hash)
+                .then_some((resolved.content_hash, core_delta)),
         });
         // Pin the patched topology exactly as `register_topology` would.
         lock_recover(&self.registry).insert(new_hash, Arc::clone(&new_resolved));
-
-        let entries = lock_recover(&self.instance_index)
-            .get(&resolved.content_hash)
-            .cloned()
-            .unwrap_or_default();
-        let model: &(dyn LinkRateModel + Send + Sync) = &*new_resolved.model;
-        let mut total = DeltaReuse::default();
-        let mut patched_count = 0u64;
-        // One unit-cache epoch per update: the mutex also serializes
-        // concurrent updates, so the per-instance coalescing below only
-        // ever races against ordinary queries, never another patch.
-        let mut unit_cache = lock_recover(&self.unit_cache);
-        for entry in &entries {
-            self.check_deadline(deadline)?;
-            let Some(old_instance) = self.instances.get(entry.key) else {
-                continue; // evicted since it was recorded
-            };
-            let new_key = Engine::instance_key(&new_resolved, &entry.universe, &entry.options);
-            if self.instances.get(new_key).is_some() {
-                continue; // already present (e.g. an earlier chained update)
-            }
-            let mut reuse = None;
-            let (patched, role) = self.instances.coalesce(new_key, || {
-                old_instance
-                    .apply_delta(&model, &core_delta, &mut unit_cache)
-                    .map(|(next, r)| {
-                        reuse = Some(r);
-                        next
-                    })
-            });
-            if matches!(role, Role::Follower) {
-                continue; // a concurrent query compiled it for us
-            }
-            let Some(patched) = patched else { continue };
-            if let Ok(instance) = &*patched {
-                if let Some(r) = reuse {
-                    total.absorb(r);
-                }
-                patched_count += 1;
-                self.instances.insert(new_key, instance.clone());
-                self.record_instance(new_hash, new_key, &entry.universe, &entry.options);
-            }
-            // A failed patch is simply dropped: the next query against the
-            // new topology compiles cold, which is the pre-update behavior.
-        }
-        unit_cache.end_epoch();
-        drop(unit_cache);
-
         Metrics::bump(&self.metrics.updates);
-        let add = |c: &std::sync::atomic::AtomicU64, n: usize| {
-            c.fetch_add(n as u64, Ordering::Relaxed);
-        };
-        add(&self.metrics.instances_patched, patched_count as usize);
-        add(&self.metrics.delta_units_reused, total.units_reused);
-        add(&self.metrics.delta_unit_cache_hits, total.unit_cache_hits);
-        add(&self.metrics.delta_units_recompiled, total.units_compiled);
 
         let topology = new_resolved.model.topology();
         let mut m = Map::new();
@@ -675,31 +590,17 @@ impl Engine {
             "num_links".into(),
             Value::Number(topology.num_links() as f64),
         );
-        m.insert(
-            "instances_patched".into(),
-            Value::Number(patched_count as f64),
-        );
+        m.insert("instances_patched".into(), Value::Number(0.0));
         let mut r = Map::new();
-        r.insert(
-            "units_reused".into(),
-            Value::Number(total.units_reused as f64),
-        );
-        r.insert(
-            "unit_cache_hits".into(),
-            Value::Number(total.unit_cache_hits as f64),
-        );
-        r.insert(
-            "units_compiled".into(),
-            Value::Number(total.units_compiled as f64),
-        );
-        r.insert(
-            "dirty_links".into(),
-            Value::Number(total.dirty_links as f64),
-        );
-        r.insert(
-            "full_recompiles".into(),
-            Value::Number(total.full_recompiles as f64),
-        );
+        for field in [
+            "units_reused",
+            "unit_cache_hits",
+            "units_compiled",
+            "dirty_links",
+            "full_recompiles",
+        ] {
+            r.insert(field.into(), Value::Number(0.0));
+        }
         m.insert("reuse".into(), Value::Object(r));
         let value = Value::Object(m);
         lock_recover(&self.results).insert(result_key, value.clone());
@@ -1208,86 +1109,154 @@ mod tests {
         .unwrap()
     }
 
-    #[test]
-    fn update_patches_cached_instances_and_matches_fresh_compile() {
-        let engine = Engine::new(EngineConfig {
-            decompose: true,
-            ..EngineConfig::default()
-        });
+    /// Registers `spec` on `engine` and returns its topology hash.
+    fn register_spec(engine: &Engine, spec: &str) -> String {
         let register = Request::parse(&format!(
-            r#"{{"query": "register_topology", "topology": {}}}"#,
-            two_component_spec("[54]")
+            r#"{{"query": "register_topology", "topology": {spec}}}"#
         ))
         .unwrap();
         let (value, _) = engine.handle(&register, None).unwrap();
-        let hash = value
+        value
             .get("topology_hash")
             .and_then(Value::as_str)
             .unwrap()
-            .to_string();
+            .to_string()
+    }
+
+    /// Sends an `update` with `delta` against `hash`; returns the reply.
+    fn send_update(engine: &Engine, hash: &str, delta: &str) -> Value {
+        let update = Request::parse(&format!(
+            r#"{{"query": "update", "topology": "{hash}", "delta": {delta}}}"#
+        ))
+        .unwrap();
+        let (out, s) = engine.handle(&update, None).unwrap();
+        assert_eq!(s, Some(CacheStatus::Miss));
+        // The update itself never touches instances.
+        assert_eq!(
+            out.get("instances_patched").and_then(Value::as_u64),
+            Some(0)
+        );
+        out
+    }
+
+    /// A top-level `stats` counter.
+    fn stat(engine: &Engine, name: &str) -> Option<u64> {
+        engine.stats_value().get(name).and_then(Value::as_u64)
+    }
+
+    /// The answer of an engine that never saw an update, handed `spec`
+    /// directly.
+    fn cold_answer(spec: &str, query: impl Fn(&str) -> Request, options: EngineConfig) -> String {
+        let cold = Engine::new(options);
+        let hash = register_spec(&cold, spec);
+        let (answer, s) = cold.handle(&query(&hash), None).unwrap();
+        assert_eq!(s, Some(CacheStatus::Miss));
+        answer.to_string()
+    }
+
+    #[test]
+    fn update_patches_cached_instances_and_matches_fresh_compile() {
+        let config = EngineConfig {
+            decompose: true,
+            ..EngineConfig::default()
+        };
+        let engine = Engine::new(config);
+        let hash = register_spec(&engine, &two_component_spec("[54]"));
         // Warm one instance over the full universe.
         let (_, s) = engine.handle(&two_component_query(&hash), None).unwrap();
         assert_eq!(s, Some(CacheStatus::Miss));
 
         // Patch link 2's rate list: only its singleton component is dirty.
-        let update = Request::parse(&format!(
-            r#"{{"query": "update", "topology": "{hash}",
-                 "delta": {{"rate_changed_links": [[2, [36]]]}}}}"#
-        ))
-        .unwrap();
-        let (out, s) = engine.handle(&update, None).unwrap();
-        assert_eq!(s, Some(CacheStatus::Miss));
-        assert_eq!(
-            out.get("instances_patched").and_then(Value::as_u64),
-            Some(1)
-        );
+        let out = send_update(&engine, &hash, r#"{"rate_changed_links": [[2, [36]]]}"#);
         let reuse = out.get("reuse").unwrap();
-        assert_eq!(reuse.get("units_reused").and_then(Value::as_u64), Some(1));
-        assert_eq!(reuse.get("units_compiled").and_then(Value::as_u64), Some(1));
+        assert_eq!(reuse.get("units_reused").and_then(Value::as_u64), Some(0));
+        assert_eq!(reuse.get("units_compiled").and_then(Value::as_u64), Some(0));
         let new_hash = out
             .get("topology_hash")
             .and_then(Value::as_str)
             .unwrap()
             .to_string();
         assert_ne!(new_hash, hash);
+        assert_eq!(stat(&engine, "instances_patched"), Some(0));
 
-        // The patched topology answers warm — its instance was migrated,
-        // not evicted — and byte-identically to a cold engine that was
-        // handed the post-delta spec directly.
+        // The first query on the patched topology misses the cache and
+        // patches the parent's instance: the clean component is reused,
+        // the dirty one recompiled.
         let (patched_answer, s) = engine
             .handle(&two_component_query(&new_hash), None)
             .unwrap();
-        assert_eq!(s, Some(CacheStatus::SetsHit));
+        assert_eq!(s, Some(CacheStatus::Miss));
+        assert_eq!(stat(&engine, "updates"), Some(1));
+        assert_eq!(stat(&engine, "instances_patched"), Some(1));
+        assert_eq!(stat(&engine, "delta_units_reused"), Some(1));
+        assert_eq!(stat(&engine, "delta_units_recompiled"), Some(1));
 
-        let cold = Engine::new(EngineConfig {
+        // Byte-identical to a cold engine handed the post-delta spec, which
+        // hashes like the patched one.
+        let cold = cold_answer(&two_component_spec("[36]"), two_component_query, config);
+        assert_eq!(patched_answer.to_string(), cold);
+        assert_eq!(
+            register_spec(&Engine::new(config), &two_component_spec("[36]")),
+            new_hash
+        );
+    }
+
+    #[test]
+    fn a_query_whose_universe_the_parent_never_cached_compiles_cold() {
+        let config = EngineConfig {
+            decompose: true,
+            ..EngineConfig::default()
+        };
+        let engine = Engine::new(config);
+        let hash = register_spec(&engine, &two_component_spec("[54]"));
+        // Warm only the single-link universe {0}.
+        let single = |hash: &str| {
+            Request::parse(&format!(
+                r#"{{"query": "available_bandwidth", "topology": "{hash}", "path": [0]}}"#
+            ))
+            .unwrap()
+        };
+        let (_, s) = engine.handle(&single(&hash), None).unwrap();
+        assert_eq!(s, Some(CacheStatus::Miss));
+        let out = send_update(&engine, &hash, r#"{"rate_changed_links": [[2, [36]]]}"#);
+        let new_hash = out.get("topology_hash").and_then(Value::as_str).unwrap();
+
+        // The full universe {0, 1, 2} was never compiled on the parent.
+        let (answer, s) = engine.handle(&two_component_query(new_hash), None).unwrap();
+        assert_eq!(s, Some(CacheStatus::Miss));
+        assert_eq!(stat(&engine, "instances_patched"), Some(0));
+        assert_eq!(stat(&engine, "delta_units_recompiled"), Some(0));
+        let cold = cold_answer(&two_component_spec("[36]"), two_component_query, config);
+        assert_eq!(answer.to_string(), cold);
+    }
+
+    #[test]
+    fn moving_a_node_away_and_back_hits_the_original_instance() {
+        let engine = Engine::new(EngineConfig {
             decompose: true,
             ..EngineConfig::default()
         });
-        let cold_register = Request::parse(&format!(
-            r#"{{"query": "register_topology", "topology": {}}}"#,
-            two_component_spec("[36]")
-        ))
-        .unwrap();
-        let (value, _) = cold.handle(&cold_register, None).unwrap();
-        let cold_hash = value.get("topology_hash").and_then(Value::as_str).unwrap();
-        assert_eq!(
-            cold_hash, new_hash,
-            "patched spec must hash like a fresh one"
-        );
-        let (cold_answer, _) = cold.handle(&two_component_query(cold_hash), None).unwrap();
-        assert_eq!(patched_answer.to_string(), cold_answer.to_string());
+        let a = register_spec(&engine, &two_component_spec("[54]"));
+        let mut query = two_component_query(&a);
+        let (_, s) = engine.handle(&query, None).unwrap();
+        assert_eq!(s, Some(CacheStatus::Miss));
 
-        // The metrics saw the patch.
-        let stats = engine.stats_value();
-        assert_eq!(stats.get("updates").and_then(Value::as_u64), Some(1));
+        // A → B → A: node 5 (link 2's receiver) leaves and returns.
+        let b = send_update(&engine, &a, r#"{"moved_nodes": [[5, 60.0, 200.0]]}"#);
+        let b = b.get("topology_hash").and_then(Value::as_str).unwrap();
+        assert_ne!(b, a);
+        let back = send_update(&engine, b, r#"{"moved_nodes": [[5, 50.0, 200.0]]}"#);
         assert_eq!(
-            stats.get("instances_patched").and_then(Value::as_u64),
-            Some(1)
+            back.get("topology_hash").and_then(Value::as_str),
+            Some(a.as_str())
         );
-        assert_eq!(
-            stats.get("delta_units_reused").and_then(Value::as_u64),
-            Some(1)
-        );
+
+        // A fresh demand on A skips the result cache but finds A's instance.
+        query.background[0].demand_mbps = 0.25;
+        let (_, s) = engine.handle(&query, None).unwrap();
+        assert_eq!(s, Some(CacheStatus::SetsHit));
+        assert_eq!(stat(&engine, "instances_patched"), Some(0));
+        assert_eq!(stat(&engine, "updates"), Some(2));
     }
 
     #[test]
@@ -1325,54 +1294,39 @@ mod tests {
 
     #[test]
     fn update_of_a_sinr_topology_moves_nodes_and_stays_queryable() {
-        let engine = Engine::new(EngineConfig {
+        let config = EngineConfig {
             decompose: true,
             solver: SolverKind::ColumnGeneration,
             ..EngineConfig::default()
-        });
-        let register = Request::parse(
-            r#"{"query": "register_topology", "topology": {
-                "model": "sinr",
-                "nodes": [[0,0],[40,0],[800,0],[840,0]],
-                "links": [[0,1],[2,3]]
-            }}"#,
-        )
-        .unwrap();
-        let (value, _) = engine.handle(&register, None).unwrap();
-        let hash = value
-            .get("topology_hash")
-            .and_then(Value::as_str)
+        };
+        let engine = Engine::new(config);
+        let spec = |far: &str| {
+            format!(r#"{{"model": "sinr", "nodes": [[0,0],[40,0],{far}], "links": [[0,1],[2,3]]}}"#)
+        };
+        // Path [0] with background on link 1: one instance over both pairs.
+        let query = |hash: &str| {
+            Request::parse(&format!(
+                r#"{{"query": "available_bandwidth", "topology": "{hash}",
+                     "background": [{{"path": [1], "demand_mbps": 0.5}}], "path": [0]}}"#
+            ))
             .unwrap()
-            .to_string();
-        let query = Request::parse(&format!(
-            r#"{{"query": "available_bandwidth", "topology": "{hash}", "path": [0]}}"#
-        ))
-        .unwrap();
-        let (_, s) = engine.handle(&query, None).unwrap();
+        };
+        let hash = register_spec(&engine, &spec("[800,0],[840,0]"));
+        let (_, s) = engine.handle(&query(&hash), None).unwrap();
         assert_eq!(s, Some(CacheStatus::Miss));
 
         // Nudge the far pair; the near pair's component is untouched.
-        let update = Request::parse(&format!(
-            r#"{{"query": "update", "topology": "{hash}",
-                 "delta": {{"moved_nodes": [[2, 810.0, 0.0], [3, 850.0, 0.0]]}}}}"#
-        ))
-        .unwrap();
-        let (out, _) = engine.handle(&update, None).unwrap();
-        let new_hash = out
-            .get("topology_hash")
-            .and_then(Value::as_str)
-            .unwrap()
-            .to_string();
-        assert_eq!(
-            out.get("instances_patched").and_then(Value::as_u64),
-            Some(1)
+        let out = send_update(
+            &engine,
+            &hash,
+            r#"{"moved_nodes": [[2, 810.0, 0.0], [3, 850.0, 0.0]]}"#,
         );
-        let warm = Request::parse(&format!(
-            r#"{{"query": "available_bandwidth", "topology": "{new_hash}", "path": [0]}}"#
-        ))
-        .unwrap();
-        let (answer, s) = engine.handle(&warm, None).unwrap();
-        assert_eq!(s, Some(CacheStatus::SetsHit));
+        let new_hash = out.get("topology_hash").and_then(Value::as_str).unwrap();
+        let (answer, s) = engine.handle(&query(new_hash), None).unwrap();
+        assert_eq!(s, Some(CacheStatus::Miss));
+        assert_eq!(stat(&engine, "instances_patched"), Some(1));
+        assert_eq!(stat(&engine, "delta_units_reused"), Some(1));
+        assert_eq!(stat(&engine, "delta_units_recompiled"), Some(1));
         assert!(
             answer
                 .get("bandwidth_mbps")
@@ -1380,6 +1334,8 @@ mod tests {
                 .unwrap()
                 > 0.0
         );
+        let cold = cold_answer(&spec("[810,0],[850,0]"), query, config);
+        assert_eq!(answer.to_string(), cold);
     }
 
     #[test]

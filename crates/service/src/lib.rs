@@ -11,11 +11,14 @@
 //! * **Topology registry** — clients register a topology once and refer to
 //!   it by content hash afterwards; `update` patches a registered topology
 //!   with a delta ([`spec`]).
-//! * **Two-level cache** — compiled instances in a sharded LRU
-//!   ([`shards`]) and rendered results ([`engine`]). Cached answers are
-//!   byte-identical to direct library calls.
+//! * **Two-level cache** — compiled instances and rendered results, each
+//!   in one LRU ([`cache`], [`engine`]). Cached answers are byte-identical
+//!   to direct library calls.
+//! * **Lazy patching** — `update` only registers the patched topology; the
+//!   first query that misses on it patches the parent topology's cached
+//!   instance, recompiling only the conflict components the delta touched.
 //! * **Coalescing** — concurrent requests for the same uncompiled instance
-//!   share one compile ([`coalesce`]).
+//!   share one compile or patch ([`coalesce`]).
 //! * **The server** — an epoll reactor ([`reactor_server`]): one event-loop
 //!   thread owns every socket, a worker pool runs the solves, pipelined
 //!   responses leave in request order, and a full job queue answers with a
@@ -62,7 +65,6 @@ pub mod metrics;
 pub mod protocol;
 pub mod reactor_server;
 pub mod server;
-pub mod shards;
 pub mod spec;
 
 pub use awb_reactor::ReactorConfig;

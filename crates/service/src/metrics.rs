@@ -1,12 +1,13 @@
 //! Lock-free service metrics: request counters, cache hit/miss counts, and
-//! coarse latency histograms for the two expensive stages (independent-set
-//! enumeration and LP solving).
+//! coarse latency histograms for the two expensive stages (building a
+//! compiled instance and LP solving).
 //!
 //! Everything is plain atomics so the hot path never takes a lock for
 //! observability. Histograms bucket by `log2(microseconds)` — 32 buckets
 //! cover 1 µs to ~1 hour, which is plenty of resolution for "is the cache
 //! working" questions.
 
+use awb_core::DeltaReuse;
 use serde_json::{Map, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -83,30 +84,33 @@ pub struct Metrics {
     pub rejected_overload: AtomicU64,
     /// Requests that exceeded their deadline.
     pub deadline_exceeded: AtomicU64,
-    /// Enumeration-cache hits (set pool reused).
+    /// Instance-cache hits (compiled instance reused).
     pub sets_cache_hits: AtomicU64,
-    /// Enumeration-cache misses (set pool enumerated).
+    /// Instance-cache misses that built the instance (compile or patch).
     pub sets_cache_misses: AtomicU64,
-    /// Enumerations avoided by coalescing behind a concurrent leader.
+    /// Instance builds avoided by coalescing behind a concurrent leader.
     pub coalesced: AtomicU64,
     /// Result-cache hits (full LP answer reused).
     pub result_cache_hits: AtomicU64,
     /// Result-cache misses.
     pub result_cache_misses: AtomicU64,
-    /// `update` requests that performed a patch (result-cache replays of
-    /// the same update are counted as result hits, not here).
+    /// `update` requests that registered a patched topology (result-cache
+    /// replays of the same update are counted as result hits, not here).
     pub updates: AtomicU64,
-    /// Compiled instances migrated across a topology update.
+    /// Instance-cache misses on an updated topology answered by patching
+    /// the parent topology's cached instance instead of compiling.
     pub instances_patched: AtomicU64,
-    /// Per-component delta-reuse totals across all updates: components
+    /// Per-component reuse totals across those patches: components
     /// structurally reused without rehashing.
     pub delta_units_reused: AtomicU64,
-    /// Components re-materialized from the unit cache by content hash.
+    /// Components re-materialized from the patch's unit cache by content
+    /// hash.
     pub delta_unit_cache_hits: AtomicU64,
-    /// Components actually recompiled (the only exponential work an
-    /// update pays).
+    /// Components actually recompiled (the only exponential work a patch
+    /// pays).
     pub delta_units_recompiled: AtomicU64,
-    /// Latency of independent-set enumeration (cache misses only).
+    /// Latency of building an instance on an instance-cache miss, whether
+    /// by compiling or by patching.
     pub enumeration_latency: Histogram,
     /// Latency of LP solves (result-cache misses only).
     pub lp_latency: Histogram,
@@ -121,6 +125,15 @@ impl Metrics {
     /// Bumps a counter by one.
     pub fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one instance built by patching, with its per-component reuse.
+    pub fn record_patch(&self, reuse: &DeltaReuse) {
+        let add = |c: &AtomicU64, n: usize| c.fetch_add(n as u64, Ordering::Relaxed);
+        Metrics::bump(&self.instances_patched);
+        add(&self.delta_units_reused, reuse.units_reused);
+        add(&self.delta_unit_cache_hits, reuse.unit_cache_hits);
+        add(&self.delta_units_recompiled, reuse.units_compiled);
     }
 
     /// Snapshot as a JSON object (the `stats` response payload).

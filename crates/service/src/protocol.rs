@@ -33,10 +33,13 @@
 //! ```
 //!
 //! The server registers the patched topology under its new content hash
-//! (returned as `topology_hash`) and migrates every cached compiled
-//! instance of the old topology by recompiling only the conflict
-//! components the delta touched — follow-up queries against the new hash
-//! start warm. See [`crate::spec::DeltaSpec`] for the delta vocabulary.
+//! (returned as `topology_hash`) and touches no compiled instance. The
+//! first query against the new hash that misses the instance cache patches
+//! the old topology's cached instance for the same link universe,
+//! recompiling only the conflict components the delta touched. The reply's
+//! `instances_patched` and `reuse` fields are kept for compatibility and
+//! read 0; the `stats` counters of the same names count the lazy patches.
+//! See [`crate::spec::DeltaSpec`] for the delta vocabulary.
 //!
 //! `admit_batch` carries a whole flow-arrival sequence in one request:
 //!
@@ -174,7 +177,7 @@ pub enum QueryKind {
     Stats,
     /// Register a topology for by-hash reuse.
     RegisterTopology,
-    /// Patch a topology with a delta, migrating its compiled instances.
+    /// Patch a topology with a delta; its instances are patched on demand.
     Update,
 }
 

@@ -179,7 +179,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_reports_reactor_and_shard_sections() {
+    fn stats_reports_reactor_and_instance_cache_sections() {
         let server = serve_reactor(ReactorServerConfig::default()).unwrap();
         let addr = server.local_addr();
         let line = format!(r#"{{"query": "available_bandwidth", {RELAY}, "path": [0,1]}}"#);
@@ -192,13 +192,15 @@ mod tests {
             result["reactor"].get("frames").and_then(Value::as_u64) >= Some(1),
             "reactor frame counter should have ticked"
         );
-        let shards = &result["instance_shards"];
         assert_eq!(
-            shards.get("shards").and_then(Value::as_array).map(Vec::len),
-            Some(8),
-            "default shard count"
+            result["instance_cache"].get("len").and_then(Value::as_u64),
+            Some(1),
+            "the one query cached one instance"
         );
-        assert!(shards.get("misses").and_then(Value::as_u64) >= Some(1));
+        assert_eq!(
+            result.get("sets_cache_misses").and_then(Value::as_u64),
+            Some(1)
+        );
         server.shutdown();
     }
 
