@@ -15,6 +15,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> cargo doc -D warnings (workspace crates; vendored stubs excluded)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps \
+    --exclude criterion --exclude proptest --exclude rand \
+    --exclude serde --exclude serde_derive --exclude serde_json
+
 echo "==> e2ebench build + self-tests (the repo benchmark compiles against the service API)"
 cargo test --release --offline --manifest-path e2ebench/Cargo.toml
 

@@ -231,8 +231,7 @@ fn solve_colgen(
     new_path: &Path,
     options: &AvailableBandwidthOptions,
 ) -> ColgenOutcome {
-    available_bandwidth_colgen(model, background, new_path, &[], options)
-        .expect("query is feasible")
+    available_bandwidth_colgen(model, background, new_path, options).expect("query is feasible")
 }
 
 fn solve(

@@ -1,5 +1,5 @@
 //! Extension experiment: the hop-count vs link-rate tradeoff the paper
-//! inherits from its reference [1] (Zhai & Fang, ICNP'06). For a fixed
+//! inherits from its reference \[1\] (Zhai & Fang, ICNP'06). For a fixed
 //! end-to-end distance, fewer hops mean longer, slower links; more hops mean
 //! faster links but more self-interference. The Eq. 6 LP scores every
 //! configuration exactly.

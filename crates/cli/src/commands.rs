@@ -312,7 +312,7 @@ fn parse_engine_kind(s: &str) -> Result<awb_sets::EngineKind, Box<dyn Error>> {
 
 /// Parses `--solver`: `full` (enumerate every independent set, the
 /// default) or `colgen` (column generation — price sets in on demand).
-/// Both certify the same optimum; the choice is a pure performance knob.
+/// Both certify the same optimum (equal to about 1e-12).
 fn parse_solver_kind(s: &str) -> Result<awb_core::SolverKind, Box<dyn Error>> {
     use awb_core::SolverKind;
     match s {
@@ -359,8 +359,10 @@ fn pricing_args(args: &Args) -> Result<(awb_core::PricingMode, f64, usize, usize
 /// and queued requests within `--drain-ms`, and exits 0. `--max-frame
 /// BYTES` caps request frames in both modes.
 /// `--enum-engine auto|generic|compiled[:N]` selects the set-enumeration
-/// engine and `--solver full|colgen` the LP strategy (both pure
-/// performance knobs; results are identical).
+/// engine (a pure performance knob: results are identical) and `--solver
+/// full|colgen` the LP strategy (both reach the same optimum to about
+/// 1e-12; `num_sets` counts the enumerated pool under `full` and the
+/// priced-in columns under `colgen`).
 pub fn serve(args: &Args) -> CmdResult {
     use awb_service::{Engine, EngineConfig, ReactorConfig, ReactorServerConfig};
     let (pricing, stab_alpha, pricing_threads, column_pool_cap) = pricing_args(args)?;

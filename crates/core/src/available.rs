@@ -1,10 +1,14 @@
 //! The §2.5 linear program (Eq. 6): maximum throughput of a new path under
 //! background traffic.
 
+use crate::decomposition::merge_parallel_schedules;
 use crate::error::CoreError;
 use crate::flow::Flow;
 use crate::schedule::Schedule;
-use awb_lp::{Direction, Problem, Relation};
+use awb_lp::{
+    Direction, IncrementalSolver, Problem, ProblemError, Relation, Solution, SolveError,
+    SolverOptions, VarId,
+};
 use awb_net::{LinkId, LinkRateModel, Path};
 use awb_sets::{EnumerationOptions, RatedSet};
 
@@ -126,29 +130,6 @@ pub struct AvailableBandwidth {
 }
 
 impl AvailableBandwidth {
-    /// Assembles a result from already-extracted LP pieces (shared by the
-    /// enumeration and column-generation solve paths).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        bandwidth_mbps: f64,
-        schedule: Schedule,
-        universe: Vec<LinkId>,
-        num_sets: usize,
-        lp_pivots: usize,
-        airtime_dual: f64,
-        link_scarcity: Vec<f64>,
-    ) -> AvailableBandwidth {
-        AvailableBandwidth {
-            bandwidth_mbps,
-            schedule,
-            universe,
-            num_sets,
-            lp_pivots,
-            airtime_dual,
-            link_scarcity,
-        }
-    }
-
     /// The maximum additional throughput of the new path, in Mbps
     /// (`f_{K+1}` at the LP optimum).
     pub fn bandwidth_mbps(&self) -> f64 {
@@ -290,105 +271,6 @@ pub fn available_bandwidth<M: LinkRateModel>(
     crate::session::Session::new(model, *options).query(background, new_path)
 }
 
-/// Eq. 6 over independent components and their pre-enumerated pools: one
-/// joint LP with a unit time budget *per component* (parallel components
-/// schedule independently), whose witness schedules are superimposed
-/// afterwards.
-pub(crate) fn solve_decomposed_with_pools(
-    pools: &[&[RatedSet]],
-    components: &[Vec<LinkId>],
-    universe: &[LinkId],
-    demand: &[f64],
-    new_path: &Path,
-    dust_epsilon: f64,
-) -> Result<AvailableBandwidth, CoreError> {
-    let mut lp = Problem::new(Direction::Maximize);
-    let f = lp.add_var("f", 1.0);
-    let lambdas: Vec<Vec<_>> = pools
-        .iter()
-        .enumerate()
-        .map(|(ci, pool)| {
-            (0..pool.len())
-                .map(|i| lp.add_var(format!("l{ci}_{i}"), 0.0))
-                .collect()
-        })
-        .collect();
-    let mut constraint_index = 0usize;
-    let mut budget_rows = Vec::new();
-    for vars in &lambdas {
-        if vars.is_empty() {
-            continue;
-        }
-        let budget: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
-        lp.add_constraint(&budget, Relation::Le, 1.0)?;
-        budget_rows.push(constraint_index);
-        constraint_index += 1;
-    }
-    let mut link_rows = vec![usize::MAX; universe.len()];
-    for (ci, component) in components.iter().enumerate() {
-        for &link in component {
-            let idx = universe
-                .binary_search(&link)
-                .map_err(|_| CoreError::Invariant("component is a subset of the universe"))?;
-            let mut terms: Vec<_> = pools[ci]
-                .iter()
-                .zip(&lambdas[ci])
-                .filter_map(|(set, &var)| set.rate_of(link).map(|r| (var, r.as_mbps())))
-                .collect();
-            if new_path.contains(link) {
-                terms.push((f, -1.0));
-            }
-            lp.add_constraint(&terms, Relation::Ge, demand[idx])?;
-            link_rows[idx] = constraint_index;
-            constraint_index += 1;
-        }
-    }
-    let solution = lp.solve().map_err(CoreError::from)?;
-    let mut parts = Vec::with_capacity(components.len());
-    for (ci, pool) in pools.iter().enumerate() {
-        let entries: Vec<(RatedSet, f64)> = pool
-            .iter()
-            .zip(&lambdas[ci])
-            .map(|(set, &var)| (set.clone(), solution.value(var)))
-            .filter(|(_, share)| *share > dust_epsilon)
-            .collect();
-        let total: f64 = entries.iter().map(|(_, s)| s).sum();
-        let entries = if total > 1.0 {
-            entries
-                .into_iter()
-                .map(|(s, share)| (s, share / total))
-                .collect()
-        } else {
-            entries
-        };
-        parts.push(Schedule::new(entries));
-    }
-    let schedule = crate::decomposition::merge_parallel_schedules(&parts);
-    let airtime_dual = budget_rows
-        .iter()
-        .map(|&i| solution.dual(i).max(0.0))
-        .fold(0.0, f64::max);
-    let link_scarcity: Vec<f64> = link_rows
-        .iter()
-        .map(|&row| {
-            if row == usize::MAX {
-                0.0
-            } else {
-                (-solution.dual(row)).max(0.0)
-            }
-        })
-        .collect();
-    Ok(AvailableBandwidth {
-        bandwidth_mbps: solution.objective(),
-        schedule,
-        universe: universe.to_vec(),
-        num_sets: pools.iter().map(|p| p.len()).sum(),
-        lp_pivots: solution.pivots(),
-        airtime_dual,
-        link_scarcity,
-    })
-}
-
 /// The **path capacity**: available bandwidth with no background traffic —
 /// the quantity studied by the paper's reference \[1\] (Zhai & Fang,
 /// ICNP'06) and the base case of Eq. 6.
@@ -425,76 +307,249 @@ pub fn available_bandwidth_with_sets(
     }
     let mut demand = Vec::new();
     demand_into(&universe, background, &mut demand)?;
-    solve_over_sets(sets, &universe, &demand, new_path, options.dust_epsilon)
+    solve_pools(
+        &[sets],
+        std::slice::from_ref(&universe),
+        &universe,
+        &demand,
+        new_path,
+        options.dust_epsilon,
+    )
 }
 
-/// The single-component Eq. 6 LP over a prepared pool and demand vector —
-/// the common kernel of the enumeration solve path and the warm session
-/// query path.
-pub(crate) fn solve_over_sets(
-    sets: &[RatedSet],
+/// Eq. 6 over prepared per-component pools: builds the [`Master`], solves
+/// it once and reads the answer off it — the whole solve for full
+/// enumeration and [`available_bandwidth_with_sets`].
+pub(crate) fn solve_pools<P: AsRef<[RatedSet]>>(
+    pools: &[P],
+    components: &[Vec<LinkId>],
     universe: &[LinkId],
     demand: &[f64],
     new_path: &Path,
     dust_epsilon: f64,
 ) -> Result<AvailableBandwidth, CoreError> {
-    let mut lp = Problem::new(Direction::Maximize);
-    let f = lp.add_var("f", 1.0);
-    let lambdas: Vec<_> = (0..sets.len())
-        .map(|i| lp.add_var(format!("lambda{i}"), 0.0))
-        .collect();
+    let master = Master::build(pools, components, universe, demand, new_path)?;
+    let solution = master.solution();
+    let num_sets = pools.iter().map(|p| p.as_ref().len()).sum();
+    Ok(master.answer(
+        &solution,
+        pools,
+        universe,
+        dust_epsilon,
+        master.prices(&solution),
+        num_sets,
+        master.pivots(),
+    ))
+}
 
-    // Σ λ_α ≤ 1.
-    let budget: Vec<_> = lambdas.iter().map(|&v| (v, 1.0)).collect();
-    lp.add_constraint(&budget, Relation::Le, 1.0)?;
+/// The Eq. 6 master LP over per-component column pools: maximize `f`
+/// subject to a unit time budget `Σ λ ≤ 1` per non-empty pool (parallel
+/// components schedule independently) and, per component link `e`, the
+/// delivery row `Σ_α λ_α R_α[e] − f·I_e(new) ≥ demand_e`.
+///
+/// Every solve path builds its LP here: full enumeration over the
+/// enumerated pools, [`available_bandwidth_with_sets`] over the caller's
+/// pool, and column generation over its restricted pools, appending priced
+/// columns with [`Master::add_column`] and rebuilding after pool-cap
+/// eviction or a refused append.
+pub(crate) struct Master {
+    solver: IncrementalSolver,
+    /// Budget row per component (`None` for an empty pool).
+    budget_rows: Vec<Option<usize>>,
+    /// Delivery row per universe index.
+    link_rows: Vec<Option<usize>>,
+    /// λ variable per `(component, pool position)`.
+    lambdas: Vec<Vec<VarId>>,
+}
 
-    // Per link: Σ_α λ_α R_α[e] − f·I_e(new) ≥ Σ_k x_k I_e(P_k).
-    for (idx, &link) in universe.iter().enumerate() {
-        let mut terms: Vec<_> = sets
+impl Master {
+    /// Builds the master over `pools` (parallel to `components`, each a
+    /// sorted subset of `universe`) and solves it.
+    pub(crate) fn build<P: AsRef<[RatedSet]>>(
+        pools: &[P],
+        components: &[Vec<LinkId>],
+        universe: &[LinkId],
+        demand: &[f64],
+        new_path: &Path,
+    ) -> Result<Master, CoreError> {
+        let mut lp = Problem::new(Direction::Maximize);
+        let f = lp.add_var("f", 1.0);
+        let lambdas: Vec<Vec<VarId>> = pools
             .iter()
-            .zip(&lambdas)
-            .filter_map(|(set, &var)| set.rate_of(link).map(|r| (var, r.as_mbps())))
+            .enumerate()
+            .map(|(ci, pool)| {
+                (0..pool.as_ref().len())
+                    .map(|i| lp.add_var(format!("l{ci}_{i}"), 0.0))
+                    .collect()
+            })
             .collect();
-        if new_path.contains(link) {
-            terms.push((f, -1.0));
+        let mut budget_rows = Vec::with_capacity(pools.len());
+        for vars in &lambdas {
+            if vars.is_empty() {
+                budget_rows.push(None);
+                continue;
+            }
+            let budget: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
+            lp.add_constraint(&budget, Relation::Le, 1.0)?;
+            budget_rows.push(Some(lp.num_constraints() - 1));
         }
-        lp.add_constraint(&terms, Relation::Ge, demand[idx])?;
+        let mut link_rows = vec![None; universe.len()];
+        for (component, (pool, vars)) in components.iter().zip(pools.iter().zip(&lambdas)) {
+            for &link in component {
+                let idx = universe
+                    .binary_search(&link)
+                    .map_err(|_| CoreError::Invariant("component is a subset of the universe"))?;
+                let mut terms: Vec<_> = pool
+                    .as_ref()
+                    .iter()
+                    .zip(vars)
+                    .filter_map(|(set, &var)| set.rate_of(link).map(|r| (var, r.as_mbps())))
+                    .collect();
+                if new_path.contains(link) {
+                    terms.push((f, -1.0));
+                }
+                lp.add_constraint(&terms, Relation::Ge, demand[idx])?;
+                link_rows[idx] = Some(lp.num_constraints() - 1);
+            }
+        }
+        Ok(Master {
+            solver: IncrementalSolver::new(&lp, SolverOptions::default())?,
+            budget_rows,
+            link_rows,
+            lambdas,
+        })
     }
 
-    let solution = lp.solve().map_err(CoreError::from)?;
-    let entries: Vec<(RatedSet, f64)> = sets
-        .iter()
-        .zip(&lambdas)
-        .map(|(set, &var)| (set.clone(), solution.value(var)))
-        .filter(|(_, share)| *share > 0.0)
-        .collect();
-    // Clamp accumulated roundoff so Schedule's invariant holds.
-    let total: f64 = entries.iter().map(|(_, s)| s).sum();
-    let entries = if total > 1.0 {
-        entries
-            .into_iter()
-            .map(|(s, share)| (s, share / total))
-            .collect()
-    } else {
-        entries
-    };
-    let schedule = Schedule::new(entries).without_dust(dust_epsilon);
-    // Constraint 0 is the budget; constraints 1.. are per-link deliveries
-    // (>= demand): their duals are non-positive, the negation is the
-    // scarcity price.
-    let airtime_dual = solution.dual(0).max(0.0);
-    let link_scarcity: Vec<f64> = (0..universe.len())
-        .map(|i| (-solution.dual(1 + i)).max(0.0))
-        .collect();
-    Ok(AvailableBandwidth {
-        bandwidth_mbps: solution.objective(),
-        schedule,
-        universe: universe.to_vec(),
-        num_sets: sets.len(),
-        lp_pivots: solution.pivots(),
-        airtime_dual,
-        link_scarcity,
-    })
+    /// The primal/dual solution at the current basis.
+    pub(crate) fn solution(&self) -> Solution {
+        self.solver.solution()
+    }
+
+    /// Simplex pivots spent on this master so far.
+    pub(crate) fn pivots(&self) -> usize {
+        self.solver.pivots()
+    }
+
+    /// The λ variables of every component, parallel to the pools.
+    pub(crate) fn lambdas(&self) -> &[Vec<VarId>] {
+        &self.lambdas
+    }
+
+    /// Component `ci`'s airtime dual under `solution`: the shadow price of
+    /// its time budget, `None` when its pool is empty.
+    pub(crate) fn airtime_dual(&self, solution: &Solution, ci: usize) -> Option<f64> {
+        self.budget_rows[ci].map(|row| solution.dual(row).max(0.0))
+    }
+
+    /// The scarcity price of universe link `idx` under `solution`: the
+    /// negated dual of its delivery row.
+    pub(crate) fn scarcity(&self, solution: &Solution, idx: usize) -> f64 {
+        self.link_rows[idx].map_or(0.0, |row| (-solution.dual(row)).max(0.0))
+    }
+
+    /// The airtime dual (the maximum over components) and the scarcity
+    /// price of every universe link under `solution`.
+    pub(crate) fn prices(&self, solution: &Solution) -> (f64, Vec<f64>) {
+        let airtime = (0..self.budget_rows.len())
+            .filter_map(|ci| self.airtime_dual(solution, ci))
+            .fold(0.0, f64::max);
+        let scarcity = (0..self.link_rows.len())
+            .map(|idx| self.scarcity(solution, idx))
+            .collect();
+        (airtime, scarcity)
+    }
+
+    /// Appends `set` as a column of component `ci` (whose pool must be
+    /// non-empty). `Ok(false)` when the warm solver refused the append
+    /// because phase 1 dropped a redundant row: the caller rebuilds the
+    /// master over pools that include `set`.
+    pub(crate) fn add_column(
+        &mut self,
+        ci: usize,
+        set: &RatedSet,
+        universe: &[LinkId],
+    ) -> Result<bool, CoreError> {
+        let budget_row = self.budget_rows[ci].ok_or(CoreError::Invariant(
+            "columns join components with a budget",
+        ))?;
+        let mut terms: Vec<(usize, f64)> = vec![(budget_row, 1.0)];
+        for &(link, rate) in set.couples() {
+            let row = universe
+                .binary_search(&link)
+                .ok()
+                .and_then(|idx| self.link_rows[idx])
+                .ok_or(CoreError::Invariant("priced set is inside the universe"))?;
+            terms.push((row, rate.as_mbps()));
+        }
+        let name = format!("l{ci}_{}", self.lambdas[ci].len());
+        match self.solver.add_column(name, 0.0, &terms) {
+            Ok(var) => {
+                self.lambdas[ci].push(var);
+                Ok(true)
+            }
+            Err(SolveError::Problem(ProblemError::RedundantRowsEliminated)) => Ok(false),
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// Re-optimizes from the current basis after appended columns.
+    pub(crate) fn reoptimize(&mut self) -> Result<(), CoreError> {
+        Ok(self.solver.reoptimize()?)
+    }
+
+    /// Reads the answer off `solution`, this master's current solution: `f`,
+    /// and the witness schedule — per component, the shares of `pools` (the
+    /// pools this master was built over) above `dust_epsilon`, renormalized
+    /// when they sum past 1, then superimposed across components. `prices`
+    /// come from [`Master::prices`], of this master or of one with the same
+    /// optimum whose duals the caller trusts more.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn answer<P: AsRef<[RatedSet]>>(
+        &self,
+        solution: &Solution,
+        pools: &[P],
+        universe: &[LinkId],
+        dust_epsilon: f64,
+        prices: (f64, Vec<f64>),
+        num_sets: usize,
+        lp_pivots: usize,
+    ) -> AvailableBandwidth {
+        let mut parts = Vec::with_capacity(pools.len());
+        for (pool, vars) in pools.iter().zip(&self.lambdas) {
+            let mut entries: Vec<(RatedSet, f64)> = pool
+                .as_ref()
+                .iter()
+                .zip(vars)
+                .map(|(set, &var)| (set, solution.value(var)))
+                .filter(|&(_, share)| share > dust_epsilon)
+                .map(|(set, share)| (set.clone(), share))
+                .collect();
+            // Clamp accumulated roundoff so Schedule's invariant holds.
+            let total: f64 = entries.iter().map(|(_, s)| s).sum();
+            if total > 1.0 {
+                for (_, share) in &mut entries {
+                    *share /= total;
+                }
+            }
+            parts.push(Schedule::new(entries));
+        }
+        // One component: the schedule is already joint (and may use a link
+        // in several entries, which the parallel merge forbids).
+        let schedule = match <[Schedule; 1]>::try_from(parts) {
+            Ok([joint]) => joint,
+            Err(parts) => merge_parallel_schedules(&parts),
+        };
+        let (airtime_dual, link_scarcity) = prices;
+        AvailableBandwidth {
+            bandwidth_mbps: solution.objective(),
+            schedule,
+            universe: universe.to_vec(),
+            num_sets,
+            lp_pivots,
+            airtime_dual,
+            link_scarcity,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -58,11 +58,10 @@
 use std::cmp::Ordering;
 
 use crate::available::{
-    demand_into, link_universe, AvailableBandwidth, AvailableBandwidthOptions, PricingMode,
+    link_universe, AvailableBandwidth, AvailableBandwidthOptions, Master, PricingMode,
 };
 use crate::error::CoreError;
 use crate::flow::Flow;
-use crate::schedule::Schedule;
 use awb_lp::{Direction, IncrementalSolver, Problem, Relation, SolverOptions, VarId};
 use awb_net::{LinkId, LinkRateModel, Path};
 use awb_sets::{
@@ -174,25 +173,19 @@ impl PricingTuning {
     }
 }
 
-/// Result of a column-generation solve: the Eq. 6 outcome plus the final
-/// master's column pool (reusable as the seed of a later solve on the same
-/// topology) and run counters.
+/// Result of a column-generation solve: the Eq. 6 outcome plus run
+/// counters.
 #[derive(Debug, Clone)]
 pub struct ColgenOutcome {
     /// The solved LP, identical in meaning to [`crate::available_bandwidth`].
     pub result: AvailableBandwidth,
-    /// All independent-set columns in the final master, component by
-    /// component. Feeding these back as `seed` warm-starts the next solve.
-    pub pool: Vec<RatedSet>,
     /// Pricing-loop counters.
     pub stats: ColgenStats,
 }
 
 /// Column-generation counterpart of [`crate::available_bandwidth`]: same
 /// optimum and dual prices, but the independent-set pool is priced in on
-/// demand instead of enumerated exhaustively. `seed` columns (e.g. the pool
-/// of a previous solve on the same topology) join the initial master;
-/// `&[]` is always valid.
+/// demand instead of enumerated exhaustively.
 ///
 /// Honors `options.decompose` (per-component budgets, like the enumeration
 /// path) and `options.dust_epsilon`; `options.enumeration` is unused — no
@@ -205,62 +198,11 @@ pub fn available_bandwidth_colgen<M: LinkRateModel>(
     model: &M,
     background: &[Flow],
     new_path: &Path,
-    seed: &[RatedSet],
     options: &AvailableBandwidthOptions,
 ) -> Result<ColgenOutcome, CoreError> {
     let universe = link_universe(background, new_path);
-    if universe.is_empty() {
-        return Err(CoreError::EmptyUniverse);
-    }
-    let instance =
-        crate::session::CompiledInstance::compile_colgen_seeded(model, &universe, options, seed)?;
-    instance.query_colgen(model, background, new_path)
-}
-
-/// Like [`available_bandwidth_colgen`], but over a caller-supplied oracle
-/// compiled once for this `(model, universe)` pair — the reuse hook for a
-/// service answering admission sequences on the same topology. The oracle
-/// must have been built with `MaxWeightOracle::new(model,
-/// &link_universe(background, new_path))`; the universe is treated as a
-/// single component (`options.decompose` is ignored).
-///
-/// # Errors
-///
-/// As [`crate::available_bandwidth`].
-pub fn available_bandwidth_colgen_with_oracle<M: LinkRateModel>(
-    model: &M,
-    oracle: &MaxWeightOracle,
-    background: &[Flow],
-    new_path: &Path,
-    seed: &[RatedSet],
-    options: &AvailableBandwidthOptions,
-) -> Result<ColgenOutcome, CoreError> {
-    let universe = link_universe(background, new_path);
-    if universe.is_empty() {
-        return Err(CoreError::EmptyUniverse);
-    }
-    debug_assert!(
-        oracle
-            .links()
-            .iter()
-            .all(|l| universe.binary_search(l).is_ok()),
-        "oracle was compiled for a different universe"
-    );
-    let components = vec![universe.clone()];
-    let pools = vec![seed_pool(model, &components[0], oracle, seed)];
-    let mut demand = Vec::new();
-    demand_into(&universe, background, &mut demand)?;
-    solve_with_pools(
-        model,
-        &universe,
-        &components,
-        &[oracle],
-        pools,
-        &demand,
-        new_path,
-        options.dust_epsilon,
-        &PricingTuning::from_options(options),
-    )
+    crate::session::CompiledInstance::compile(model, &universe, options)?
+        .query_colgen(model, background, new_path)
 }
 
 /// Colgen-side runtime guards (active only with the `debug-invariants`
@@ -286,31 +228,14 @@ fn assert_finite_objective(objective: f64) {
     );
 }
 
-/// Seeds one component's pool: caller-provided seed sets that live entirely
-/// inside the component, every live link's max-rate singleton, and a greedy
-/// cover of the live links by oracle calls.
-pub(crate) fn seed_pool<M: LinkRateModel>(
-    model: &M,
-    component: &[LinkId],
-    oracle: &MaxWeightOracle,
-    seed: &[RatedSet],
-) -> Vec<RatedSet> {
+/// Seeds one component's pool: every live link's max-rate singleton, and a
+/// greedy cover of the live links by oracle calls.
+pub(crate) fn seed_pool<M: LinkRateModel>(model: &M, oracle: &MaxWeightOracle) -> Vec<RatedSet> {
     let mut pool: Vec<RatedSet> = Vec::new();
-    for set in seed {
-        if set.is_empty() || pool.contains(set) {
-            continue;
-        }
-        if set.couples().iter().all(|(l, _)| component.contains(l)) {
-            pool.push(set.clone());
-        }
-    }
     for &link in oracle.links() {
-        let Some(rate) = model.max_alone_rate(link) else {
-            continue; // dead link: no singleton to seed
-        };
-        let singleton = RatedSet::new(vec![(link, rate)]);
-        if !pool.contains(&singleton) {
-            pool.push(singleton);
+        // Component links are distinct; a dead link has no singleton.
+        if let Some(rate) = model.max_alone_rate(link) {
+            pool.push(RatedSet::new(vec![(link, rate)]));
         }
     }
     // Greedy cover: repeatedly ask for the heaviest set over the still
@@ -512,79 +437,6 @@ fn stage_a_all<M: LinkRateModel>(
     Ok(())
 }
 
-/// Index maps of one stage-B master build.
-struct MasterLayout {
-    /// Budget row per component (`None` for empty pools).
-    budget_rows: Vec<Option<usize>>,
-    /// Delivery row per universe index.
-    link_rows: Vec<usize>,
-    /// λ variable per `(component, pool position)`, flattened per component.
-    lambdas: Vec<Vec<VarId>>,
-    f: VarId,
-}
-
-/// Builds the joint stage-B master over the current pools and solves it.
-fn build_master(
-    pools: &[Vec<RatedSet>],
-    components: &[Vec<LinkId>],
-    universe: &[LinkId],
-    demand: &[f64],
-    new_path: &Path,
-) -> Result<(IncrementalSolver, MasterLayout), CoreError> {
-    let mut lp = Problem::new(Direction::Maximize);
-    let f = lp.add_var("f", 1.0);
-    let lambdas: Vec<Vec<VarId>> = pools
-        .iter()
-        .enumerate()
-        .map(|(ci, pool)| {
-            (0..pool.len())
-                .map(|i| lp.add_var(format!("l{ci}_{i}"), 0.0))
-                .collect()
-        })
-        .collect();
-    let mut constraint_index = 0usize;
-    let mut budget_rows = Vec::with_capacity(pools.len());
-    for vars in &lambdas {
-        if vars.is_empty() {
-            budget_rows.push(None);
-            continue;
-        }
-        let budget: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
-        lp.add_constraint(&budget, Relation::Le, 1.0)?;
-        budget_rows.push(Some(constraint_index));
-        constraint_index += 1;
-    }
-    let mut link_rows = vec![usize::MAX; universe.len()];
-    for (ci, component) in components.iter().enumerate() {
-        for &link in component {
-            let idx = universe
-                .binary_search(&link)
-                .map_err(|_| CoreError::Invariant("component is a subset of the universe"))?;
-            let mut terms: Vec<_> = pools[ci]
-                .iter()
-                .zip(&lambdas[ci])
-                .filter_map(|(set, &var)| set.rate_of(link).map(|r| (var, r.as_mbps())))
-                .collect();
-            if new_path.contains(link) {
-                terms.push((f, -1.0));
-            }
-            lp.add_constraint(&terms, Relation::Ge, demand[idx])?;
-            link_rows[idx] = constraint_index;
-            constraint_index += 1;
-        }
-    }
-    let inc = IncrementalSolver::new(&lp, SolverOptions::default()).map_err(CoreError::from)?;
-    Ok((
-        inc,
-        MasterLayout {
-            budget_rows,
-            link_rows,
-            lambdas,
-            f,
-        },
-    ))
-}
-
 /// Canonical total order on rated sets (shorter first, then couples
 /// lexicographically by link id and rate): the order the canonical final
 /// master's columns are laid out in, so the answer depends only on *which*
@@ -639,7 +491,7 @@ pub(crate) fn solve_with_pools<M: LinkRateModel>(
     // Stage B: joint throughput master with per-component pricing. A master
     // rebuild (cold start) only happens in the rare case the warm append is
     // refused because phase 1 dropped a redundant row.
-    let (mut master, mut layout) = build_master(&pools, components, universe, demand, new_path)?;
+    let mut master = Master::build(&pools, components, universe, demand, new_path)?;
     // Per-component weight buffers, reused across rounds. `centers` holds
     // the previous round's raw duals when stabilization is on.
     let mut raw_w: Vec<Vec<f64>> = oracles
@@ -652,7 +504,9 @@ pub(crate) fn solve_with_pools<M: LinkRateModel>(
     } else {
         Vec::new()
     };
-    let mut airtimes = vec![0.0f64; oracles.len()];
+    // Per-component airtime dual; `None` for components without a budget
+    // row (empty pool), which take no columns.
+    let mut airtimes: Vec<Option<f64>> = vec![None; oracles.len()];
     let mut have_center = false;
     // Per-column "was ever basic" flags, parallel to `pools`: the survivors
     // when the pool cap forces an eviction.
@@ -667,7 +521,7 @@ pub(crate) fn solve_with_pools<M: LinkRateModel>(
             let mut evicted_any = false;
             {
                 let sol = master.solution();
-                for (flags, vars) in ever_basic.iter_mut().zip(&layout.lambdas) {
+                for (flags, vars) in ever_basic.iter_mut().zip(master.lambdas()) {
                     for (flag, &var) in flags.iter_mut().zip(vars) {
                         *flag |= sol.value(var) > SUPPORT_EPS;
                     }
@@ -688,23 +542,20 @@ pub(crate) fn solve_with_pools<M: LinkRateModel>(
             }
             if evicted_any {
                 stats.pivots += master.pivots();
-                let (m, l) = build_master(&pools, components, universe, demand, new_path)?;
-                master = m;
-                layout = l;
+                master = Master::build(&pools, components, universe, demand, new_path)?;
             }
         }
         let sol = master.solution();
         for (ci, oracle) in oracles.iter().enumerate() {
-            let Some(budget_row) = layout.budget_rows[ci] else {
-                airtimes[ci] = 0.0;
+            airtimes[ci] = master.airtime_dual(&sol, ci);
+            if airtimes[ci].is_none() {
                 continue;
-            };
-            airtimes[ci] = sol.dual(budget_row).max(0.0);
+            }
             for (j, l) in oracle.links().iter().enumerate() {
                 let idx = universe
                     .binary_search(l)
                     .map_err(|_| CoreError::Invariant("oracle links are in the universe"))?;
-                raw_w[ci][j] = (-sol.dual(layout.link_rows[idx])).max(0.0);
+                raw_w[ci][j] = master.scarcity(&sol, idx);
             }
             #[cfg(feature = "debug-invariants")]
             assert_pricing_weights(&raw_w[ci]);
@@ -731,7 +582,7 @@ pub(crate) fn solve_with_pools<M: LinkRateModel>(
                     } else {
                         &raw_w[ci]
                     },
-                    threshold: airtimes[ci] + PRICE_TOL,
+                    threshold: airtimes[ci].unwrap_or(0.0) + PRICE_TOL,
                     pool: &pools[ci],
                 })
                 .collect();
@@ -751,9 +602,9 @@ pub(crate) fn solve_with_pools<M: LinkRateModel>(
             if answer.exact_invoked {
                 stats.exact_calls += 1;
             }
-            let Some(budget_row) = layout.budget_rows[ci] else {
+            if airtimes[ci].is_none() {
                 continue;
-            };
+            }
             let Some((set, _value)) = answer.column else {
                 // `price_component` only reports "no column" after the exact
                 // search failed to price one in — the exactness certificate.
@@ -762,29 +613,10 @@ pub(crate) fn solve_with_pools<M: LinkRateModel>(
             if answer.by_heuristic {
                 stats.heuristic_columns += 1;
             }
-            let mut terms: Vec<(usize, f64)> = vec![(budget_row, 1.0)];
-            for &(link, rate) in set.couples() {
-                let idx = universe
-                    .binary_search(&link)
-                    .map_err(|_| CoreError::Invariant("priced set is inside the universe"))?;
-                terms.push((layout.link_rows[idx], rate.as_mbps()));
-            }
-            let name = format!("l{ci}_{}", pools[ci].len());
-            match master.add_column(name, 0.0, &terms) {
-                Ok(var) => {
-                    layout.lambdas[ci].push(var);
-                    pools[ci].push(set);
-                    ever_basic[ci].push(false);
-                    added = true;
-                }
-                Err(awb_lp::SolveError::Problem(awb_lp::ProblemError::RedundantRowsEliminated)) => {
-                    pools[ci].push(set);
-                    ever_basic[ci].push(false);
-                    added = true;
-                    rebuild = true;
-                }
-                Err(e) => return Err(CoreError::from(e)),
-            }
+            rebuild |= !master.add_column(ci, &set, universe)?;
+            pools[ci].push(set);
+            ever_basic[ci].push(false);
+            added = true;
             stats.columns_generated += 1;
         }
         if !added {
@@ -794,11 +626,9 @@ pub(crate) fn solve_with_pools<M: LinkRateModel>(
         stats.pricing_rounds += 1;
         if rebuild {
             stats.pivots += master.pivots();
-            let (m, l) = build_master(&pools, components, universe, demand, new_path)?;
-            master = m;
-            layout = l;
+            master = Master::build(&pools, components, universe, demand, new_path)?;
         } else {
-            master.reoptimize().map_err(CoreError::from)?;
+            master.reoptimize()?;
         }
         #[cfg(feature = "debug-invariants")]
         assert_finite_objective(master.solution().objective());
@@ -810,23 +640,7 @@ pub(crate) fn solve_with_pools<M: LinkRateModel>(
     // the minimal support master below is dual-degenerate (fewer columns ⟹
     // a larger dual polytope, so the solver may pick a different vertex).
     let converged = master.solution();
-    let airtime_dual = layout
-        .budget_rows
-        .iter()
-        .flatten()
-        .map(|&row| converged.dual(row).max(0.0))
-        .fold(0.0, f64::max);
-    let link_scarcity: Vec<f64> = layout
-        .link_rows
-        .iter()
-        .map(|&row| {
-            if row == usize::MAX {
-                0.0
-            } else {
-                (-converged.dual(row)).max(0.0)
-            }
-        })
-        .collect();
+    let prices = master.prices(&converged);
 
     // Canonical final re-solve: extract the converged support (λ above
     // noise), lay its columns out in canonical order, and solve that minimal
@@ -834,67 +648,33 @@ pub(crate) fn solve_with_pools<M: LinkRateModel>(
     // function of the converged support — identical for heuristic-first vs
     // exact-only pricing, any thread count, and any column-discovery order
     // that converges to the same support.
-    let mut support: Vec<Vec<RatedSet>> = Vec::with_capacity(pools.len());
-    for (ci, pool) in pools.iter().enumerate() {
-        let mut sup: Vec<RatedSet> = pool
-            .iter()
-            .zip(&layout.lambdas[ci])
-            .filter(|(_, &var)| converged.value(var) > SUPPORT_EPS)
-            .map(|(set, _)| set.clone())
-            .collect();
-        sup.sort_by(canonical_set_cmp);
-        support.push(sup);
-    }
-    let (final_master, final_layout) =
-        build_master(&support, components, universe, demand, new_path)?;
-    stats.pivots += final_master.pivots();
-    let layout = final_layout;
-
-    // Extract the Eq. 6 outcome exactly like the enumeration path does.
-    let solution = final_master.solution();
-    let mut parts = Vec::with_capacity(components.len());
-    for (ci, sup) in support.iter().enumerate() {
-        let entries: Vec<(RatedSet, f64)> = sup
-            .iter()
-            .zip(&layout.lambdas[ci])
-            .map(|(set, &var)| (set.clone(), solution.value(var)))
-            .filter(|(_, share)| *share > dust_epsilon)
-            .collect();
-        let total: f64 = entries.iter().map(|(_, s)| s).sum();
-        let entries = if total > 1.0 {
-            entries
-                .into_iter()
-                .map(|(s, share)| (s, share / total))
-                .collect()
-        } else {
-            entries
-        };
-        parts.push(Schedule::new(entries));
-    }
-    // One component: the schedule is already joint (and may legitimately use
-    // a link in several entries, which the parallel merge forbids).
-    let schedule = if parts.len() == 1 {
-        parts
-            .pop()
-            .ok_or(CoreError::Invariant("single-component split is non-empty"))?
-    } else {
-        crate::decomposition::merge_parallel_schedules(&parts)
-    };
+    let support: Vec<Vec<RatedSet>> = pools
+        .iter()
+        .zip(master.lambdas())
+        .map(|(pool, vars)| {
+            let mut sup: Vec<RatedSet> = pool
+                .iter()
+                .zip(vars)
+                .filter(|(_, &var)| converged.value(var) > SUPPORT_EPS)
+                .map(|(set, _)| set.clone())
+                .collect();
+            sup.sort_by(canonical_set_cmp);
+            sup
+        })
+        .collect();
+    let canonical = Master::build(&support, components, universe, demand, new_path)?;
+    stats.pivots += canonical.pivots();
     let num_sets = pools.iter().map(Vec::len).sum();
-    let result = AvailableBandwidth::from_parts(
-        solution.value(layout.f).max(0.0),
-        schedule,
-        universe.to_vec(),
+    let result = canonical.answer(
+        &canonical.solution(),
+        &support,
+        universe,
+        dust_epsilon,
+        prices,
         num_sets,
         stats.pivots,
-        airtime_dual,
-        link_scarcity,
     );
-    Ok(ColgenOutcome {
-        result,
-        pool: pools.into_iter().flatten().collect(),
-        stats,
-    })
+    Ok(ColgenOutcome { result, stats })
 }
 
 #[cfg(test)]
@@ -1011,15 +791,13 @@ mod tests {
             })
             .collect();
         let unbounded =
-            available_bandwidth_colgen(&m, &background, &new_path, &[], &colgen_options()).unwrap();
-        assert!(unbounded.stats.pool_peak >= unbounded.pool.len());
+            available_bandwidth_colgen(&m, &background, &new_path, &colgen_options()).unwrap();
         assert_eq!(unbounded.stats.pool_evicted, 0);
         let capped_opts = AvailableBandwidthOptions {
             column_pool_cap: 8,
             ..colgen_options()
         };
-        let capped =
-            available_bandwidth_colgen(&m, &background, &new_path, &[], &capped_opts).unwrap();
+        let capped = available_bandwidth_colgen(&m, &background, &new_path, &capped_opts).unwrap();
         // Exactness: the evicting solve certifies the same optimum.
         assert!(
             (capped.result.bandwidth_mbps() - unbounded.result.bandwidth_mbps()).abs() < 1e-6,
@@ -1029,11 +807,9 @@ mod tests {
         );
         assert!(
             capped.stats.pool_evicted > 0,
-            "cap 8 never triggered (peak {}, pool {})",
-            capped.stats.pool_peak,
-            capped.pool.len()
+            "cap 8 never triggered (peak {})",
+            capped.stats.pool_peak
         );
-        assert!(capped.stats.pool_peak >= capped.pool.len());
         assert!(capped.result.schedule().is_valid(&m));
     }
 
@@ -1077,46 +853,5 @@ mod tests {
         let cg = available_bandwidth(&m, &background, &new_path, &opts_cg).unwrap();
         assert!((full.bandwidth_mbps() - cg.bandwidth_mbps()).abs() < 1e-6);
         assert!(cg.schedule().is_valid(&m));
-    }
-
-    #[test]
-    fn seed_pool_reuse_reaches_same_optimum_with_fewer_rounds() {
-        let (m, links) = line_model(4, &[r(54.0), r(18.0)], &[(0, 1), (1, 2), (2, 3)]);
-        let bg_path = Path::new(m.topology(), vec![links[0]]).unwrap();
-        let new_path = Path::new(m.topology(), vec![links[2]]).unwrap();
-        let background = vec![Flow::new(bg_path, 12.0).unwrap()];
-        let opts = colgen_options();
-        let first = available_bandwidth_colgen(&m, &background, &new_path, &[], &opts).unwrap();
-        let second =
-            available_bandwidth_colgen(&m, &background, &new_path, &first.pool, &opts).unwrap();
-        assert!(
-            (first.result.bandwidth_mbps() - second.result.bandwidth_mbps()).abs() < 1e-9,
-            "{} vs {}",
-            first.result.bandwidth_mbps(),
-            second.result.bandwidth_mbps()
-        );
-        assert!(second.stats.columns_generated <= first.stats.columns_generated);
-    }
-
-    #[test]
-    fn oracle_variant_matches_fresh_solve() {
-        let (m, links) = line_model(3, &[r(54.0)], &[(0, 1), (1, 2)]);
-        let bg_path = Path::new(m.topology(), vec![links[0]]).unwrap();
-        let new_path = Path::new(m.topology(), vec![links[1]]).unwrap();
-        let background = vec![Flow::new(bg_path, 13.5).unwrap()];
-        let opts = colgen_options();
-        let universe = link_universe(&background, &new_path);
-        let oracle = MaxWeightOracle::new(&m, &universe);
-        let fresh = available_bandwidth_colgen(&m, &background, &new_path, &[], &opts).unwrap();
-        let cached = available_bandwidth_colgen_with_oracle(
-            &m,
-            &oracle,
-            &background,
-            &new_path,
-            &fresh.pool,
-            &opts,
-        )
-        .unwrap();
-        assert!((fresh.result.bandwidth_mbps() - cached.result.bandwidth_mbps()).abs() < 1e-9);
     }
 }

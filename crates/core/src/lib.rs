@@ -12,11 +12,13 @@
 //! * [`colgen`] — a delayed column-generation solve path for the same LP:
 //!   prices independent sets in on demand via a branch-and-bound oracle
 //!   instead of enumerating them all (select with
-//!   [`SolverKind::ColumnGeneration`]).
+//!   [`SolverKind::ColumnGeneration`]). Full enumeration,
+//!   [`available_bandwidth_with_sets`] and column generation all build and
+//!   read one Eq. 6 master LP; they differ only in the column pools.
 //! * [`Session`] / [`CompiledInstance`] — the compile-once / query-many
-//!   split: per-universe compiled state (enumerated set pools, pricing
-//!   oracles, seed columns) cached across many Eq. 6 queries, bit-for-bit
-//!   identical to the one-shot functions. Instances are assemblies of
+//!   split: per-universe compiled state (enumerated set pools, or pricing
+//!   oracles with their deterministic seed columns) cached across many
+//!   Eq. 6 queries, bit-for-bit identical to the one-shot functions. Instances are assemblies of
 //!   content-hashed per-component [`CompiledUnit`]s, and
 //!   `CompiledInstance::apply_delta` migrates them across topology changes
 //!   ([`awb_net::TopologyDelta`]) by recompiling only the touched
@@ -73,9 +75,7 @@ pub use available::{
     available_bandwidth, available_bandwidth_with_sets, link_universe, path_capacity,
     AvailableBandwidth, AvailableBandwidthOptions, PricingMode, SolverKind,
 };
-pub use colgen::{
-    available_bandwidth_colgen, available_bandwidth_colgen_with_oracle, ColgenOutcome, ColgenStats,
-};
+pub use colgen::{available_bandwidth_colgen, ColgenOutcome, ColgenStats};
 pub use error::CoreError;
 pub use flow::Flow;
 pub use schedule::Schedule;

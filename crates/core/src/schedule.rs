@@ -74,19 +74,6 @@ impl Schedule {
             .all(|(set, _)| set.is_empty() || model.admissible(set.couples()))
     }
 
-    /// Drops entries with a share below `epsilon` (LP output hygiene).
-    #[must_use]
-    pub fn without_dust(&self, epsilon: f64) -> Schedule {
-        Schedule {
-            entries: self
-                .entries
-                .iter()
-                .filter(|(_, s)| *s >= epsilon)
-                .cloned()
-                .collect(),
-        }
-    }
-
     /// The fraction of time during which `node` senses the channel busy
     /// under this schedule, assuming non-overlapping slots: the sum of the
     /// shares of every entry containing a link the node hears.
@@ -178,17 +165,6 @@ mod tests {
             (vec![(l1, r(54.0))].into_iter().collect(), 0.7),
             (vec![(l2, r(54.0))].into_iter().collect(), 0.7),
         ]);
-    }
-
-    #[test]
-    fn dust_filtering() {
-        let (_, l1, l2) = two_link_model();
-        let s = Schedule::new(vec![
-            (vec![(l1, r(54.0))].into_iter().collect(), 1e-12),
-            (vec![(l2, r(54.0))].into_iter().collect(), 0.5),
-        ]);
-        let clean = s.without_dust(1e-9);
-        assert_eq!(clean.entries().len(), 1);
     }
 
     #[test]

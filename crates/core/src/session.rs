@@ -25,8 +25,11 @@
 //! bit-for-bit identical to a fresh one-shot solve of the same query, the
 //! free functions [`crate::available_bandwidth`] and
 //! [`crate::available_bandwidth_colgen`] are thin wrappers over a one-shot
-//! session, and a warm session replaying queries in any order reproduces the
-//! cold answers exactly (see `tests/proptest_session.rs`).
+//! session or instance, and a warm session replaying queries in any order
+//! reproduces the cold answers exactly (see `tests/proptest_session.rs`).
+//! Both solver kinds end in the same Eq. 6 master LP: the enumeration arm
+//! solves it once over the units' pools, the colgen arm prices columns into
+//! it from the units' seed pools.
 //!
 //! # Dynamic topologies
 //!
@@ -48,8 +51,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::available::{
-    demand_into, link_universe_into, solve_decomposed_with_pools, solve_over_sets,
-    AvailableBandwidth, AvailableBandwidthOptions, SolverKind,
+    demand_into, link_universe_into, solve_pools, AvailableBandwidth, AvailableBandwidthOptions,
+    SolverKind,
 };
 use crate::colgen::{solve_with_pools, ColgenOutcome, PricingTuning};
 use crate::decomposition::{components_from_adjacency, potential_conflict_adjacency};
@@ -57,7 +60,7 @@ use crate::error::CoreError;
 use crate::flow::Flow;
 use crate::units::{unit_content_hash, CompiledUnit, DeltaReuse, UnitCache, UnitKind};
 use awb_net::{LinkId, LinkRateModel, Path, TopologyDelta};
-use awb_sets::{MaxWeightOracle, RatedSet};
+use awb_sets::RatedSet;
 
 /// The query-independent, precompiled state for Eq. 6 solves over one
 /// `(model, universe, options)` triple: an assembly of per-component
@@ -85,9 +88,6 @@ pub struct CompiledInstance {
     /// incremental delta application. `None` otherwise, so the
     /// `decompose: false` default pays nothing for it.
     adjacency: Option<Vec<Vec<u64>>>,
-    /// Caller-supplied colgen seed columns, kept so dirty units recompile
-    /// under exactly the inputs the originals were built from.
-    seed: Vec<RatedSet>,
     options: AvailableBandwidthOptions,
 }
 
@@ -105,7 +105,7 @@ impl CompiledInstance {
         universe: &[LinkId],
         options: &AvailableBandwidthOptions,
     ) -> Result<CompiledInstance, CoreError> {
-        Self::assemble(model, universe, options, &[], None).map(|(instance, _)| instance)
+        Self::assemble(model, universe, options, None).map(|(instance, _)| instance)
     }
 
     /// [`CompiledInstance::compile`] consulting (and feeding) a
@@ -122,21 +122,7 @@ impl CompiledInstance {
         options: &AvailableBandwidthOptions,
         cache: &mut UnitCache,
     ) -> Result<(CompiledInstance, DeltaReuse), CoreError> {
-        Self::assemble(model, universe, options, &[], Some(cache))
-    }
-
-    /// Compiles a column-generation instance whose seed pools additionally
-    /// include the caller-supplied `seed` columns — the compile-side of
-    /// [`crate::available_bandwidth_colgen`]'s `seed` parameter. Used with
-    /// `seed = &[]` this is exactly [`CompiledInstance::compile`] for
-    /// [`SolverKind::ColumnGeneration`].
-    pub(crate) fn compile_colgen_seeded<M: LinkRateModel>(
-        model: &M,
-        universe: &[LinkId],
-        options: &AvailableBandwidthOptions,
-        seed: &[RatedSet],
-    ) -> Result<CompiledInstance, CoreError> {
-        Self::assemble(model, universe, options, seed, None).map(|(instance, _)| instance)
+        Self::assemble(model, universe, options, Some(cache))
     }
 
     fn normalized_universe(universe: &[LinkId]) -> Result<Vec<LinkId>, CoreError> {
@@ -155,7 +141,6 @@ impl CompiledInstance {
         model: &M,
         universe: &[LinkId],
         options: &AvailableBandwidthOptions,
-        seed: &[RatedSet],
         cache: Option<&mut UnitCache>,
     ) -> Result<(CompiledInstance, DeltaReuse), CoreError> {
         let universe = Self::normalized_universe(universe)?;
@@ -167,15 +152,13 @@ impl CompiledInstance {
             (None, vec![universe.clone()])
         };
         let mut reuse = DeltaReuse::default();
-        let units =
-            Self::units_for_components(model, &components, options, seed, cache, &mut reuse);
+        let units = Self::units_for_components(model, &components, options, cache, &mut reuse);
         Ok((
             CompiledInstance {
                 universe,
                 components,
                 units,
                 adjacency,
-                seed: seed.to_vec(),
                 options: *options,
             },
             reuse,
@@ -186,7 +169,6 @@ impl CompiledInstance {
         model: &M,
         components: &[Vec<LinkId>],
         options: &AvailableBandwidthOptions,
-        seed: &[RatedSet],
         mut cache: Option<&mut UnitCache>,
         reuse: &mut DeltaReuse,
     ) -> Vec<Arc<CompiledUnit>> {
@@ -194,18 +176,18 @@ impl CompiledInstance {
             .iter()
             .map(|component| {
                 if let Some(cache) = cache.as_deref_mut() {
-                    let hash = unit_content_hash(model, component, options, seed);
+                    let hash = unit_content_hash(model, component, options);
                     if let Some(unit) = cache.lookup(hash) {
                         reuse.unit_cache_hits += 1;
                         return unit;
                     }
-                    let unit = Arc::new(CompiledUnit::compile(model, component, options, seed));
+                    let unit = Arc::new(CompiledUnit::compile(model, component, options));
                     reuse.units_compiled += 1;
                     cache.publish(&unit);
                     unit
                 } else {
                     reuse.units_compiled += 1;
-                    Arc::new(CompiledUnit::compile(model, component, options, seed))
+                    Arc::new(CompiledUnit::compile(model, component, options))
                 }
             })
             .collect()
@@ -294,13 +276,8 @@ impl CompiledInstance {
         let Some(old_adjacency) = self.adjacency.as_ref() else {
             // No stored component structure (decompose: false) — recompile
             // whole, still letting the cache dedupe the single unit.
-            let (instance, mut inner) = Self::assemble(
-                model,
-                &self.universe,
-                &self.options,
-                &self.seed,
-                Some(cache),
-            )?;
+            let (instance, mut inner) =
+                Self::assemble(model, &self.universe, &self.options, Some(cache))?;
             inner.dirty_links = reuse.dirty_links;
             inner.full_recompiles = 1;
             return Ok((instance, inner));
@@ -372,17 +349,12 @@ impl CompiledInstance {
                         }
                     }
                 }
-                let hash = unit_content_hash(model, component, &self.options, &self.seed);
+                let hash = unit_content_hash(model, component, &self.options);
                 if let Some(unit) = cache.lookup(hash) {
                     reuse.unit_cache_hits += 1;
                     return unit;
                 }
-                let unit = Arc::new(CompiledUnit::compile(
-                    model,
-                    component,
-                    &self.options,
-                    &self.seed,
-                ));
+                let unit = Arc::new(CompiledUnit::compile(model, component, &self.options));
                 reuse.units_compiled += 1;
                 cache.publish(&unit);
                 unit
@@ -394,7 +366,6 @@ impl CompiledInstance {
                 components,
                 units,
                 adjacency: Some(adjacency),
-                seed: self.seed.clone(),
                 options: self.options,
             },
             reuse,
@@ -437,53 +408,26 @@ impl CompiledInstance {
         demand_into(&self.universe, background, demand)?;
         match self.options.solver {
             SolverKind::FullEnumeration => {
-                if self.components.len() > 1 {
-                    let pools: Vec<&[RatedSet]> =
-                        self.units.iter().map(|u| u.enumerated_pool()).collect();
-                    solve_decomposed_with_pools(
-                        &pools,
-                        &self.components,
-                        &self.universe,
-                        demand,
-                        new_path,
-                        self.options.dust_epsilon,
-                    )
-                } else {
-                    let pool = self
-                        .units
-                        .first()
-                        .ok_or(CoreError::Invariant("compiled instance has a component"))?
-                        .enumerated_pool();
-                    solve_over_sets(
-                        pool,
-                        &self.universe,
-                        demand,
-                        new_path,
-                        self.options.dust_epsilon,
-                    )
-                }
-            }
-            SolverKind::ColumnGeneration => {
-                let (oracle_refs, seeds) = self.colgen_parts();
-                solve_with_pools(
-                    model,
-                    &self.universe,
+                let pools: Vec<&[RatedSet]> =
+                    self.units.iter().map(|u| u.enumerated_pool()).collect();
+                solve_pools(
+                    &pools,
                     &self.components,
-                    &oracle_refs,
-                    seeds,
+                    &self.universe,
                     demand,
                     new_path,
                     self.options.dust_epsilon,
-                    &PricingTuning::from_options(&self.options),
                 )
-                .map(|outcome| outcome.result)
             }
+            SolverKind::ColumnGeneration => self
+                .solve_colgen(model, demand, new_path)
+                .map(|outcome| outcome.result),
         }
     }
 
     /// Like [`Self::query`], but returns the full [`ColgenOutcome`]
-    /// (final pool and pricing counters). Only valid on instances compiled
-    /// with [`SolverKind::ColumnGeneration`].
+    /// (the answer and the pricing counters). Only valid on instances
+    /// compiled with [`SolverKind::ColumnGeneration`].
     ///
     /// # Errors
     ///
@@ -503,24 +447,20 @@ impl CompiledInstance {
         }
         let mut demand = Vec::new();
         demand_into(&self.universe, background, &mut demand)?;
-        let (oracle_refs, seeds) = self.colgen_parts();
-        solve_with_pools(
-            model,
-            &self.universe,
-            &self.components,
-            &oracle_refs,
-            seeds,
-            &demand,
-            new_path,
-            self.options.dust_epsilon,
-            &PricingTuning::from_options(&self.options),
-        )
+        self.solve_colgen(model, &demand, new_path)
     }
 
-    /// Per-unit oracle references and cloned seed pools, in component order.
-    /// Only called on column-generation instances.
-    fn colgen_parts(&self) -> (Vec<&MaxWeightOracle>, Vec<Vec<RatedSet>>) {
-        self.units
+    /// The column-generation solve over this instance's per-unit oracles,
+    /// starting from clones of their seed pools. Only called on
+    /// column-generation instances.
+    fn solve_colgen<M: LinkRateModel>(
+        &self,
+        model: &M,
+        demand: &[f64],
+        new_path: &Path,
+    ) -> Result<ColgenOutcome, CoreError> {
+        let (oracles, seeds) = self
+            .units
             .iter()
             .map(|u| match u.kind() {
                 UnitKind::Colgen { oracle, seeds } => (oracle, seeds.clone()),
@@ -529,7 +469,18 @@ impl CompiledInstance {
                     unreachable!("solver kind and unit kind are compiled together")
                 }
             })
-            .unzip()
+            .unzip::<_, _, Vec<_>, Vec<_>>();
+        solve_with_pools(
+            model,
+            &self.universe,
+            &self.components,
+            &oracles,
+            seeds,
+            demand,
+            new_path,
+            self.options.dust_epsilon,
+            &PricingTuning::from_options(&self.options),
+        )
     }
 
     /// Background links are validated by the demand vector's binary search;
@@ -621,11 +572,6 @@ impl<'m, M: LinkRateModel> Session<'m, M> {
         self.instances.len()
     }
 
-    /// Hit/miss counters of the session's content-addressed unit cache.
-    pub fn unit_cache_stats(&self) -> (u64, u64) {
-        self.unit_cache.stats()
-    }
-
     /// Migrates the session to `model` — the post-delta topology —
     /// rebuilding every cached instance through
     /// [`CompiledInstance::apply_delta`] and returning the accumulated
@@ -695,41 +641,6 @@ impl<'m, M: LinkRateModel> Session<'m, M> {
             }
         };
         instance.query_with_scratch(self.model, background, new_path, &mut self.demand_scratch)
-    }
-
-    /// The compiled instance for the universe of `(background, new_path)`,
-    /// compiling it on first sight — for callers that want to inspect or
-    /// share the compiled state directly.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::EmptyUniverse`] when the query involves no links.
-    pub fn instance_for(
-        &mut self,
-        background: &[Flow],
-        new_path: &Path,
-    ) -> Result<&CompiledInstance, CoreError> {
-        link_universe_into(background, new_path, &mut self.universe_scratch);
-        if self.universe_scratch.is_empty() {
-            return Err(CoreError::EmptyUniverse);
-        }
-        if !self
-            .instances
-            .contains_key(self.universe_scratch.as_slice())
-        {
-            let (compiled, _) = CompiledInstance::compile_with_cache(
-                self.model,
-                &self.universe_scratch,
-                &self.options,
-                &mut self.unit_cache,
-            )?;
-            self.stats.compiles += 1;
-            self.instances
-                .insert(self.universe_scratch.clone(), compiled);
-        }
-        self.instances
-            .get(self.universe_scratch.as_slice())
-            .ok_or(CoreError::Invariant("instance was just inserted"))
     }
 }
 

@@ -4,14 +4,14 @@
 //! per potential-conflict component — each carrying exactly the
 //! query-independent state of its component: the exhaustively enumerated
 //! pool under [`SolverKind::FullEnumeration`], or the compiled max-weight
-//! pricing oracle plus its deterministic seed columns under
+//! pricing oracle plus its deterministic seed columns (every live link's
+//! singleton and a greedy cover, a function of the model alone) under
 //! [`SolverKind::ColumnGeneration`].
 //!
 //! Every unit is stamped with a **content hash** over all compile inputs
 //! that can influence its bytes:
 //!
 //! * the solver kind and the result-relevant enumeration options,
-//! * any caller-provided seed columns,
 //! * per member link: its id, its alone rates, and its
 //!   [`LinkRateModel::link_fingerprint`],
 //! * the pairwise couple-conflict table over the members' alone rates (only
@@ -138,16 +138,15 @@ impl CompiledUnit {
         model: &M,
         component: &[LinkId],
         options: &AvailableBandwidthOptions,
-        seed: &[RatedSet],
     ) -> CompiledUnit {
-        let content_hash = unit_content_hash(model, component, options, seed);
+        let content_hash = unit_content_hash(model, component, options);
         let kind = match options.solver {
             SolverKind::FullEnumeration => UnitKind::Enumerated {
                 pool: enumerate_admissible(model, component, &options.enumeration),
             },
             SolverKind::ColumnGeneration => {
                 let oracle = MaxWeightOracle::new(model, component);
-                let seeds = seed_pool(model, component, &oracle, seed);
+                let seeds = seed_pool(model, &oracle);
                 UnitKind::Colgen { oracle, seeds }
             }
         };
@@ -166,7 +165,6 @@ pub(crate) fn unit_content_hash<M: LinkRateModel>(
     model: &M,
     component: &[LinkId],
     options: &AvailableBandwidthOptions,
-    seed: &[RatedSet],
 ) -> u64 {
     let mut h = ContentHasher::new(match options.solver {
         SolverKind::FullEnumeration => 1,
@@ -181,15 +179,6 @@ pub(crate) fn unit_content_hash<M: LinkRateModel>(
                 .max_set_size
                 .map_or(u64::MAX, |s| s as u64),
         );
-    }
-    // Caller seed columns join colgen seed pools, so they are unit content.
-    h.write(seed.len() as u64);
-    for set in seed {
-        h.write(set.couples().len() as u64);
-        for &(l, r) in set.couples() {
-            h.write(l.index() as u64);
-            h.write(r.as_mbps().to_bits());
-        }
     }
     h.write(model.model_fingerprint());
     let pairwise_exact = model.pairwise_admissibility_exact();
@@ -387,18 +376,18 @@ mod tests {
         let (m1, links) = pair_model(false);
         let (m2, _) = pair_model(false);
         assert_eq!(
-            unit_content_hash(&m1, &links, &opts, &[]),
-            unit_content_hash(&m2, &links, &opts, &[])
+            unit_content_hash(&m1, &links, &opts),
+            unit_content_hash(&m2, &links, &opts)
         );
         let (m3, _) = pair_model(true);
         assert_ne!(
-            unit_content_hash(&m1, &links, &opts, &[]),
-            unit_content_hash(&m3, &links, &opts, &[])
+            unit_content_hash(&m1, &links, &opts),
+            unit_content_hash(&m3, &links, &opts)
         );
     }
 
     #[test]
-    fn hash_sees_solver_seed_and_member_identity() {
+    fn hash_sees_solver_and_member_identity() {
         let (m, links) = pair_model(true);
         let enum_opts = AvailableBandwidthOptions::default();
         let cg_opts = AvailableBandwidthOptions {
@@ -406,17 +395,12 @@ mod tests {
             ..AvailableBandwidthOptions::default()
         };
         assert_ne!(
-            unit_content_hash(&m, &links, &enum_opts, &[]),
-            unit_content_hash(&m, &links, &cg_opts, &[])
-        );
-        let seed = vec![RatedSet::new(vec![(links[0], r(36.0))])];
-        assert_ne!(
-            unit_content_hash(&m, &links, &cg_opts, &[]),
-            unit_content_hash(&m, &links, &cg_opts, &seed)
+            unit_content_hash(&m, &links, &enum_opts),
+            unit_content_hash(&m, &links, &cg_opts)
         );
         assert_ne!(
-            unit_content_hash(&m, &links, &enum_opts, &[]),
-            unit_content_hash(&m, &links[..1], &enum_opts, &[])
+            unit_content_hash(&m, &links, &enum_opts),
+            unit_content_hash(&m, &links[..1], &enum_opts)
         );
     }
 
@@ -437,14 +421,14 @@ mod tests {
         let (m2, _) = build(120.0);
         let (m3, _) = build(130.0);
         assert_eq!(
-            unit_content_hash(&m1, &links, &opts, &[]),
-            unit_content_hash(&m2, &links, &opts, &[])
+            unit_content_hash(&m1, &links, &opts),
+            unit_content_hash(&m2, &links, &opts)
         );
         // Both gaps have identical alone rates, but the geometry (and hence
         // the additive interference) differs — the fingerprint must see it.
         assert_ne!(
-            unit_content_hash(&m1, &links, &opts, &[]),
-            unit_content_hash(&m3, &links, &opts, &[])
+            unit_content_hash(&m1, &links, &opts),
+            unit_content_hash(&m3, &links, &opts)
         );
     }
 
@@ -452,7 +436,7 @@ mod tests {
     fn cache_hits_refresh_and_pruning_expires() {
         let (m, links) = pair_model(true);
         let opts = AvailableBandwidthOptions::default();
-        let unit = Arc::new(CompiledUnit::compile(&m, &links, &opts, &[]));
+        let unit = Arc::new(CompiledUnit::compile(&m, &links, &opts));
         let mut cache = UnitCache::new(1);
         cache.publish(&unit);
         assert_eq!(cache.len(), 1);
@@ -473,12 +457,9 @@ mod tests {
     fn compiled_unit_carries_its_hash_and_columns() {
         let (m, links) = pair_model(true);
         let opts = AvailableBandwidthOptions::default();
-        let unit = CompiledUnit::compile(&m, &links, &opts, &[]);
+        let unit = CompiledUnit::compile(&m, &links, &opts);
         assert_eq!(unit.links(), &links[..]);
-        assert_eq!(
-            unit.content_hash(),
-            unit_content_hash(&m, &links, &opts, &[])
-        );
+        assert_eq!(unit.content_hash(), unit_content_hash(&m, &links, &opts));
         assert!(unit.num_columns() > 0);
     }
 }

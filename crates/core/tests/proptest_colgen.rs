@@ -6,10 +6,9 @@
 
 use awb_core::bounds::{clique_upper_bound, UpperBoundOptions};
 use awb_core::{
-    available_bandwidth, available_bandwidth_colgen, AvailableBandwidthOptions, CoreError, Flow,
-    SolverKind,
+    available_bandwidth, AvailableBandwidth, AvailableBandwidthOptions, CoreError, Flow, SolverKind,
 };
-use awb_net::{DeclarativeModel, LinkId, Path, SinrModel, Topology};
+use awb_net::{DeclarativeModel, LinkId, LinkRateModel, Path, SinrModel, Topology};
 use awb_phy::{Phy, Rate};
 use proptest::prelude::*;
 
@@ -108,6 +107,34 @@ fn build_sinr(hops: usize, hop_length: f64, bg_demand: f64) -> (SinrModel, Path,
     (model, path, background)
 }
 
+/// Checks that `out`'s witness is a genuine schedule under `model`:
+/// admissible sets, total share within the period, no entry at or below the
+/// dust threshold, and every background demand and `f` itself delivered.
+fn check_witness<M: LinkRateModel>(
+    model: &M,
+    out: &AvailableBandwidth,
+    background: &[Flow],
+    path: &Path,
+) -> Result<(), TestCaseError> {
+    let s = out.schedule();
+    prop_assert!(s.is_valid(model));
+    prop_assert!(s.total_share() <= 1.0 + 1e-7);
+    let dust = AvailableBandwidthOptions::default().dust_epsilon;
+    prop_assert!(
+        s.entries().iter().all(|(_, share)| *share > dust),
+        "dust entry kept"
+    );
+    for flow in background {
+        for &l in flow.path().links() {
+            prop_assert!(s.link_throughput(l) + 1e-6 >= flow.demand_mbps());
+        }
+    }
+    for &l in path.links() {
+        prop_assert!(s.link_throughput(l) + 1e-6 >= out.bandwidth_mbps());
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -126,17 +153,7 @@ proptest! {
             cg.bandwidth_mbps()
         );
         // The colgen witness is a genuine schedule delivering everything.
-        let s = cg.schedule();
-        prop_assert!(s.is_valid(&model));
-        prop_assert!(s.total_share() <= 1.0 + 1e-7);
-        for flow in &background {
-            for &l in flow.path().links() {
-                prop_assert!(s.link_throughput(l) + 1e-6 >= flow.demand_mbps());
-            }
-        }
-        for &l in path.links() {
-            prop_assert!(s.link_throughput(l) + 1e-6 >= cg.bandwidth_mbps());
-        }
+        check_witness(&model, &cg, &background, &path)?;
     }
 
     #[test]
@@ -218,32 +235,13 @@ proptest! {
                     a.bandwidth_mbps(),
                     b.bandwidth_mbps()
                 );
-                prop_assert!(b.schedule().is_valid(&model));
+                check_witness(&model, &a, &background, &path)?;
+                check_witness(&model, &b, &background, &path)?;
             }
             (Err(CoreError::BackgroundInfeasible), Err(CoreError::BackgroundInfeasible)) => {}
             (a, b) => return Err(TestCaseError::fail(format!(
                 "solvers disagree: full {a:?} vs colgen {b:?}"
             ))),
         }
-    }
-
-    #[test]
-    fn seeded_resolve_is_deterministic(inst in instance()) {
-        // Re-solving with the previous pool as seed reproduces the optimum
-        // bit-for-bit (warm-start determinism).
-        let (model, path, background) = build(&inst);
-        let opts = colgen_opts();
-        let Ok(first) = available_bandwidth_colgen(&model, &background, &path, &[], &opts)
-        else { return Err(TestCaseError::fail("unexpected infeasibility")); };
-        let second =
-            available_bandwidth_colgen(&model, &background, &path, &first.pool, &opts)
-                .expect("seeded solve is feasible");
-        prop_assert_eq!(
-            first.result.bandwidth_mbps().to_bits(),
-            second.result.bandwidth_mbps().to_bits(),
-            "seeded optimum differs: {} vs {}",
-            first.result.bandwidth_mbps(),
-            second.result.bandwidth_mbps()
-        );
     }
 }

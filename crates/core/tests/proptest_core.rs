@@ -93,6 +93,8 @@ proptest! {
         let s = out.schedule();
         prop_assert!(s.is_valid(&model));
         prop_assert!(s.total_share() <= 1.0 + 1e-7);
+        let dust = AvailableBandwidthOptions::default().dust_epsilon;
+        prop_assert!(s.entries().iter().all(|(_, share)| *share > dust), "dust entry kept");
         // The witness delivers background + f on every relevant link.
         for flow in &background {
             for &l in flow.path().links() {
@@ -222,6 +224,8 @@ proptest! {
         let s = deco.schedule();
         prop_assert!(s.is_valid(&model));
         prop_assert!(s.total_share() <= 1.0 + 1e-7);
+        let dust = AvailableBandwidthOptions::default().dust_epsilon;
+        prop_assert!(s.entries().iter().all(|(_, share)| *share > dust), "dust entry kept");
         for flow in &background {
             for &l in flow.path().links() {
                 prop_assert!(s.link_throughput(l) + 1e-6 >= flow.demand_mbps());

@@ -26,10 +26,8 @@ use awb_phy::CaptureThreshold;
 ///
 /// The summation order and the precomputed tolerance-scaled thresholds make
 /// this bit-identical to the model's own
-/// [`victim_max_rate`](LinkRateModel::victim_max_rate), whose interference
-/// sum also walks the concurrent set in its given order.
-///
-/// [`LinkRateModel::victim_max_rate`]: crate::LinkRateModel::victim_max_rate
+/// [`victim_max_rate`](crate::LinkRateModel::victim_max_rate), whose
+/// interference sum also walks the concurrent set in its given order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdditiveCapture {
     /// Number of links the tables cover.

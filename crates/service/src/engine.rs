@@ -74,7 +74,8 @@ pub struct EngineConfig {
     pub sets_cache_capacity: usize,
     /// Capacity of the rendered-result LRU.
     pub result_cache_capacity: usize,
-    /// Capacity of the built-model LRU for inline (unregistered) specs.
+    /// Capacity of the built-model LRU, which holds inline specs and the
+    /// topologies `update` produces (registered ones stay pinned).
     pub model_cache_capacity: usize,
     /// Enumeration engine used for cold set-pool builds. Every engine is
     /// byte-identical in output, so switching it never invalidates cached
@@ -87,8 +88,9 @@ pub struct EngineConfig {
     /// pays the oracle compile once and answers are independent of the
     /// order requests arrive in.
     pub solver: SolverKind,
-    /// Compile per conflict component instead of per whole universe.
-    /// Answers are bit-identical either way; `true` is what makes patching
+    /// Compile per conflict component instead of per whole universe (see
+    /// [`AvailableBandwidthOptions::decompose`]: exact for pairwise models,
+    /// slightly optimistic for SINR models). `true` is what makes patching
     /// an instance after an `update` component-granular (an untouched
     /// component is reused without recompilation), at the cost of storing
     /// the component adjacency alongside each instance.
@@ -132,7 +134,8 @@ impl Default for EngineConfig {
 pub struct Engine {
     /// Topologies pinned by `register_topology`, by content hash.
     registry: Mutex<BTreeMap<u64, Arc<ResolvedTopology>>>,
-    /// Built models for inline specs (evictable, unlike the registry).
+    /// Built models for inline specs and `update` results (evictable,
+    /// unlike the registry).
     models: Mutex<LruCache<ResolvedTopology>>,
     /// Compiled per-universe instances (set pools or pricing oracles),
     /// filled on demand by `Engine::instance`.
@@ -287,19 +290,24 @@ impl Engine {
         }
     }
 
-    /// Resolves a request's topology to a built model, via the pinned
-    /// registry (hash refs) or the model LRU (inline specs).
+    /// The topology held under `hash`: pinned in the registry, else in the
+    /// model LRU. The two locks are taken one after the other, never
+    /// nested, so they add no lock-order edge.
+    fn held(&self, hash: u64) -> Option<Arc<ResolvedTopology>> {
+        let pinned = lock_recover(&self.registry).get(&hash).cloned();
+        pinned.or_else(|| lock_recover(&self.models).get(hash))
+    }
+
+    /// Resolves a request's topology to a built model, via the held
+    /// topologies (hash refs) or the model LRU (inline specs).
     fn resolve(&self, reference: &TopologyRef) -> Result<Arc<ResolvedTopology>, ServiceError> {
         match reference {
-            TopologyRef::Registered(hash) => lock_recover(&self.registry)
-                .get(hash)
-                .cloned()
-                .ok_or_else(|| {
-                    ServiceError::new(
-                        ErrorCode::UnknownTopology,
-                        format!("no registered topology with hash {hash:016x}"),
-                    )
-                }),
+            TopologyRef::Registered(hash) => self.held(*hash).ok_or_else(|| {
+                ServiceError::new(
+                    ErrorCode::UnknownTopology,
+                    format!("no registered topology with hash {hash:016x}"),
+                )
+            }),
             TopologyRef::Inline(spec) => {
                 let hash = spec.content_hash();
                 if let Some(found) = lock_recover(&self.models).get(hash) {
@@ -520,15 +528,17 @@ impl Engine {
     }
 
     /// The dynamic-topology patch path (`update`): applies the request's
-    /// [`crate::spec::DeltaSpec`] to the resolved topology and registers the
-    /// patched topology under its new content hash, together with its
-    /// parent's hash and the core delta. Compiled instances are left alone:
-    /// the first query that misses on the new topology patches the parent's
-    /// cached instance (`Engine::instance`).
+    /// [`crate::spec::DeltaSpec`] to the resolved topology and holds the
+    /// patched topology in the model LRU under its new content hash,
+    /// together with its parent's hash and the core delta. Compiled
+    /// instances are left alone: the first query that misses on the new
+    /// topology patches the parent's cached instance (`Engine::instance`).
     ///
     /// The update is keyed off the delta hash chain
     /// `fnv(old topology hash, delta chain hash)`: replaying the identical
-    /// update is a result-cache hit that performs no work. The reply keeps
+    /// update is a result-cache hit that performs no work while the
+    /// topology it produced is still held, and recomputes it (a miss with
+    /// the same reply) once the LRU has evicted it. The reply keeps
     /// its `instances_patched` and `reuse` fields, which always read 0; the
     /// `stats` counters of the same names count the lazy patches.
     // awb-audit: hot
@@ -551,9 +561,16 @@ impl Engine {
         h.write_u64(resolved.content_hash);
         h.write_u64(delta.chain_hash());
         let result_key = h.finish();
-        if let Some(cached) = lock_recover(&self.results).get(result_key) {
-            Metrics::bump(&self.metrics.result_cache_hits);
-            return Ok(((*cached).clone(), CacheStatus::Hit));
+        let cached = lock_recover(&self.results).get(result_key);
+        if let Some(cached) = cached {
+            let produced = cached
+                .get("topology_hash")
+                .and_then(Value::as_str)
+                .and_then(|h| u64::from_str_radix(h, 16).ok());
+            if produced.and_then(|h| self.held(h)).is_some() {
+                Metrics::bump(&self.metrics.result_cache_hits);
+                return Ok(((*cached).clone(), CacheStatus::Hit));
+            }
         }
         Metrics::bump(&self.metrics.result_cache_misses);
         self.check_deadline(deadline)?;
@@ -568,8 +585,7 @@ impl Engine {
             parent: (new_hash != resolved.content_hash)
                 .then_some((resolved.content_hash, core_delta)),
         });
-        // Pin the patched topology exactly as `register_topology` would.
-        lock_recover(&self.registry).insert(new_hash, Arc::clone(&new_resolved));
+        lock_recover(&self.models).insert_shared(new_hash, Arc::clone(&new_resolved));
         Metrics::bump(&self.metrics.updates);
 
         let topology = new_resolved.model.topology();
@@ -1290,6 +1306,54 @@ mod tests {
         .unwrap();
         let (_, s3) = engine.handle(&other, None).unwrap();
         assert_eq!(s3, Some(CacheStatus::Miss));
+    }
+
+    #[test]
+    fn update_results_live_in_the_bounded_model_cache() {
+        let engine = Engine::new(EngineConfig {
+            model_cache_capacity: 2,
+            ..EngineConfig::default()
+        });
+        let root = register_spec(&engine, &two_component_spec("[54]"));
+        let update = |from: &str, x: f64| {
+            Request::parse(&format!(
+                r#"{{"query": "update", "topology": "{from}",
+                     "delta": {{"moved_nodes": [[5, {x}, 200.0]]}}}}"#
+            ))
+            .unwrap()
+        };
+        let hash_of = |v: &Value| {
+            v.get("topology_hash")
+                .and_then(Value::as_str)
+                .unwrap()
+                .to_string()
+        };
+        let first = update(&root, 51.0);
+        let (first_reply, _) = engine.handle(&first, None).unwrap();
+        let mut chain = vec![hash_of(&first_reply)];
+        for x in [52.0, 53.0, 54.0] {
+            let from = chain.last().unwrap().clone();
+            let (reply, s) = engine.handle(&update(&from, x), None).unwrap();
+            assert_eq!(s, Some(CacheStatus::Miss));
+            chain.push(hash_of(&reply));
+        }
+        // Only the registered root is pinned; the updates share the LRU.
+        assert_eq!(lock_recover(&engine.registry).len(), 1);
+        assert!(lock_recover(&engine.models).len() <= 2);
+        let single = |hash: &str| {
+            Request::parse(&format!(
+                r#"{{"query": "available_bandwidth", "topology": "{hash}", "path": [0]}}"#
+            ))
+            .unwrap()
+        };
+        assert!(engine.handle(&single(&chain[3]), None).is_ok());
+        let gone = engine.handle(&single(&chain[0]), None).unwrap_err();
+        assert_eq!(gone.code, ErrorCode::UnknownTopology);
+        // Replaying the first update rebuilds its evicted topology.
+        let (replayed, s) = engine.handle(&first, None).unwrap();
+        assert_eq!(s, Some(CacheStatus::Miss));
+        assert_eq!(replayed.to_string(), first_reply.to_string());
+        assert!(engine.handle(&single(&chain[0]), None).is_ok());
     }
 
     #[test]

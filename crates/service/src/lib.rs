@@ -9,12 +9,12 @@
 //! long-lived service that amortizes that cost:
 //!
 //! * **Topology registry** — clients register a topology once and refer to
-//!   it by content hash afterwards; `update` patches a registered topology
-//!   with a delta ([`spec`]).
+//!   it by content hash afterwards; `update` patches a topology with a
+//!   delta ([`spec`]) and holds the result in the bounded model cache.
 //! * **Two-level cache** — compiled instances and rendered results, each
 //!   in one LRU ([`cache`], [`engine`]). Cached answers are byte-identical
 //!   to direct library calls.
-//! * **Lazy patching** — `update` only registers the patched topology; the
+//! * **Lazy patching** — `update` only holds the patched topology; the
 //!   first query that misses on it patches the parent topology's cached
 //!   instance, recompiling only the conflict components the delta touched.
 //! * **Coalescing** — concurrent requests for the same uncompiled instance

@@ -771,7 +771,7 @@ mod tests {
         .unwrap();
         let (patched, core) = spec.apply_delta(&delta).unwrap();
         // The patched spec hashes identically to the same network sent
-        // inline from scratch — the registry entry it creates is
+        // inline from scratch — the topology it produces is
         // indistinguishable from a fresh registration.
         let direct: Value = serde_json::from_str(
             r#"{

@@ -277,7 +277,7 @@ impl MaxWeightOracle {
     ///
     /// For pairwise-exact models the greedy insertion (descending
     /// `w * best_rate` over the compiled masks) is followed by up to
-    /// [`HEUR_PASSES`] improvement sweeps, each trying to insert a couple and
+    /// `HEUR_PASSES` improvement sweeps, each trying to insert a couple and
     /// evict everything that conflicts with it — this subsumes 1-swap,
     /// 2-swap and rate-raise moves, and leaves the set maximal. The
     /// model-confirmed modes (SINR, generic) do the greedy pass only, with
