@@ -22,13 +22,21 @@
 //!    (asserted, then recorded together with the parallel speedup).
 //!
 //! A final *scale* section pushes the compiled engine to 300/1000/3000
-//! nodes at constant node density; rows whose projected SINR-table memory
+//! nodes at constant node density; rows whose projected memory (the
+//! model's node-pair power table plus the simulator's hearing masks)
 //! exceeds the budget are skipped with the projection recorded, not
-//! silently dropped.
+//! silently dropped. Each row that runs records the process's measured
+//! peak RSS beside the projection, the cost of a one-slot run (compile
+//! plus one slot) apart from the marginal cost per slot, and the host it
+//! ran on (nproc, `rustc -V`, commit).
 //!
 //! `--smoke` runs a reduced ablation + a two-cell matrix with the same
-//! assertions and writes nothing — the CI hook keeping the compiled
-//! kernels honest.
+//! assertions, then the 1000-node scale row for a few slots under a
+//! peak-RSS gate, and writes nothing — the CI hook keeping the compiled
+//! kernels honest. `--scale` runs only the scale rows and merges them into
+//! the existing `BENCH_estimators.json`, replacing earlier rows of the
+//! same commit, so rows of two commits measured on one host sit side by
+//! side.
 
 #![forbid(unsafe_code)]
 
@@ -47,6 +55,8 @@ use awb_workloads::{
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
+use serde_json::Value;
+use std::process::Command;
 use std::time::Instant;
 
 /// Slots per campaign-cell simulation.
@@ -59,8 +69,13 @@ const ABLATION_SLOTS_SMOKE: u64 = 40_000;
 const ITERS: usize = 3;
 /// The ablation gate: compiled must be at least this many times faster.
 const SPEEDUP_FLOOR: f64 = 5.0;
-/// Scale rows are skipped when the projected SINR power table exceeds this.
+/// Scale rows are skipped when their projected footprint exceeds this.
 const SCALE_MEMORY_BUDGET_BYTES: u64 = 1_500_000_000;
+/// Scale rows: node count and slots.
+const SCALE_ROWS: [(usize, u64); 3] = [(300, 2_000), (1_000, 1_000), (3_000, 500)];
+/// The smoke run's 1000-node scale row: a few slots under a peak-RSS gate.
+const SMOKE_SCALE_SLOTS: u64 = 20;
+const SMOKE_PEAK_RSS_BYTES: u64 = 512 << 20;
 /// Worker counts exercised by the parallel section.
 const THREAD_COUNTS: [usize; 3] = [2, 4, 0];
 
@@ -122,6 +137,16 @@ struct ParallelRow {
     results_hash: String,
 }
 
+/// Where a row was measured.
+#[derive(Serialize)]
+struct Host {
+    nproc: usize,
+    rustc: String,
+    /// `git describe --always --dirty` of the source tree the bench was
+    /// built from.
+    commit: String,
+}
+
 #[derive(Serialize)]
 struct ScaleRow {
     num_nodes: usize,
@@ -129,15 +154,27 @@ struct ScaleRow {
     field_h: f64,
     /// Links projected from the density before building anything.
     projected_links: u64,
-    projected_table_bytes: u64,
+    /// Projected bytes of what grows with the field (see
+    /// [`scale_projection`]).
+    projected_bytes: u64,
     skipped: bool,
     skip_reason: Option<String>,
     num_links: Option<usize>,
     flows: Option<usize>,
     slots: Option<u64>,
     build_ns: Option<u64>,
+    /// Wall time of a one-slot run: the simulator's compile plus one slot.
+    one_slot_ns: Option<u64>,
     sim_ns: Option<u64>,
+    /// `sim_ns / slots`, compile included.
     per_slot_ns: Option<f64>,
+    /// `(sim_ns - one_slot_ns) / (slots - 1)`: the cost of one more slot.
+    marginal_per_slot_ns: Option<f64>,
+    /// The process's peak RSS (`VmHWM`) after the row ran; rows run in
+    /// ascending size, so it is this row's peak unless an earlier section
+    /// peaked higher.
+    peak_rss_bytes: Option<u64>,
+    host: Host,
 }
 
 /// One epoch of the mobility error surface: estimator errors against the
@@ -520,42 +557,92 @@ fn parallel_section(
         .collect()
 }
 
-/// Projects the SINR table footprint of an `n`-node row at paper density
-/// before building it: expected directed links ≈ n·(n−1)·(πr²/area) and the
-/// dominant allocation is the links² pairwise power table.
+/// Projects the footprint of an `n`-node row at paper density before
+/// building it. Expected directed links L ≈ n·(n−1)·(πr²/area); what grows
+/// with the field is the model's node-pair power table (at most n² f64s,
+/// one per transmitting × receiving node), the simulator's carrier-sense
+/// mask (`hears`, L² bits) and its busy-accounting mask (`hearer_nodes`,
+/// L·n bits).
 fn scale_projection(density: &DensityPoint, phy: &Phy) -> (u64, u64) {
     let r = phy.max_range();
     let area = density.width * density.height;
     let n = density.num_nodes as f64;
     let p_in_range = (std::f64::consts::PI * r * r / area).min(1.0);
     let links = (n * (n - 1.0) * p_in_range).ceil() as u64;
-    (links, links * links * 8)
+    let nodes = density.num_nodes as u64;
+    (
+        links,
+        nodes * nodes * 8 + links * links / 8 + links * nodes / 8,
+    )
+}
+
+/// The process's peak resident set size so far (`VmHWM`), in bytes.
+fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib * 1024)
+}
+
+/// The standard output of a command, trimmed; `"unknown"` when it fails.
+fn command_output(program: &str, args: &[&str]) -> String {
+    Command::new(program)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map_or_else(
+            || "unknown".to_string(),
+            |out| String::from_utf8_lossy(&out.stdout).trim().to_string(),
+        )
+}
+
+fn host() -> Host {
+    Host {
+        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        rustc: command_output("rustc", &["-V"]),
+        commit: command_output(
+            "git",
+            &[
+                "-C",
+                env!("CARGO_MANIFEST_DIR"),
+                "describe",
+                "--always",
+                "--dirty",
+                "--abbrev=12",
+            ],
+        ),
+    }
 }
 
 fn run_scale_row(num_nodes: usize, slots: u64) -> ScaleRow {
     let density = DensityPoint::paper_density(num_nodes);
     let phy = Phy::paper_default();
-    let (projected_links, projected_table_bytes) = scale_projection(&density, &phy);
+    let (projected_links, projected_bytes) = scale_projection(&density, &phy);
     let mut row = ScaleRow {
         num_nodes,
         field_w: density.width,
         field_h: density.height,
         projected_links,
-        projected_table_bytes,
+        projected_bytes,
         skipped: false,
         skip_reason: None,
         num_links: None,
         flows: None,
         slots: None,
         build_ns: None,
+        one_slot_ns: None,
         sim_ns: None,
         per_slot_ns: None,
+        marginal_per_slot_ns: None,
+        peak_rss_bytes: None,
+        host: host(),
     };
-    if projected_table_bytes > SCALE_MEMORY_BUDGET_BYTES {
+    if projected_bytes > SCALE_MEMORY_BUDGET_BYTES {
         row.skipped = true;
         row.skip_reason = Some(format!(
-            "projected {projected_links}-link pairwise power table \
-             ({projected_table_bytes} B) exceeds the {SCALE_MEMORY_BUDGET_BYTES} B budget"
+            "projected {projected_links}-link footprint ({projected_bytes} B) \
+             exceeds the {SCALE_MEMORY_BUDGET_BYTES} B budget"
         ));
         return row;
     }
@@ -574,23 +661,97 @@ fn run_scale_row(num_nodes: usize, slots: u64) -> ScaleRow {
         })
         .collect();
     row.flows = Some(paths.len());
-    let mut sim = Simulator::new(
-        &model,
-        SimConfig {
-            slots,
-            ..SimConfig::default()
-        },
-    );
-    for p in &paths {
-        sim.add_flow(p.clone(), None);
-    }
-    let t = Instant::now();
-    let _ = sim.run(&model);
-    let sim_ns = t.elapsed().as_nanos() as u64;
+    let timed_run = |slots: u64| {
+        let mut sim = Simulator::new(
+            &model,
+            SimConfig {
+                slots,
+                ..SimConfig::default()
+            },
+        );
+        for p in &paths {
+            sim.add_flow(p.clone(), None);
+        }
+        let t = Instant::now();
+        let _ = sim.run(&model);
+        t.elapsed().as_nanos() as u64
+    };
+    let one_slot_ns = timed_run(1);
+    let sim_ns = timed_run(slots);
     row.slots = Some(slots);
+    row.one_slot_ns = Some(one_slot_ns);
     row.sim_ns = Some(sim_ns);
     row.per_slot_ns = Some(sim_ns as f64 / slots as f64);
+    if slots > 1 {
+        row.marginal_per_slot_ns =
+            Some(sim_ns.saturating_sub(one_slot_ns) as f64 / (slots - 1) as f64);
+    }
+    row.peak_rss_bytes = peak_rss_bytes();
     row
+}
+
+fn print_scale_row(row: &ScaleRow) {
+    let n = row.num_nodes;
+    match (&row.skip_reason, row.per_slot_ns) {
+        (Some(reason), _) => println!("  n={n}: skipped — {reason}"),
+        (None, Some(ns)) => println!(
+            "  n={n}: {} links, {:.1} µs/slot ({:.1} µs marginal, one-slot run {:.1} ms), \
+             peak RSS {:.1} MiB (projected {:.1} MiB)",
+            row.num_links.unwrap_or(0),
+            ns / 1e3,
+            row.marginal_per_slot_ns.unwrap_or(f64::NAN) / 1e3,
+            row.one_slot_ns.unwrap_or(0) as f64 / 1e6,
+            row.peak_rss_bytes.unwrap_or(0) as f64 / f64::from(1 << 20),
+            row.projected_bytes as f64 / f64::from(1 << 20),
+        ),
+        _ => {}
+    }
+}
+
+fn scale_section() -> Vec<ScaleRow> {
+    println!("== scale rows ==");
+    SCALE_ROWS
+        .iter()
+        .map(|&(n, slots)| {
+            let row = run_scale_row(n, slots);
+            print_scale_row(&row);
+            row
+        })
+        .collect()
+}
+
+/// Replaces the `scale` rows of the existing report that were measured at
+/// this commit with `rows`, keeping the other commits' rows (rows that
+/// record no host are dropped).
+fn merge_scale_rows(rows: &[ScaleRow]) {
+    let path = "BENCH_estimators.json";
+    let text = std::fs::read_to_string(path).expect("read BENCH_estimators.json");
+    let Value::Object(mut report) = serde_json::from_str(&text).expect("report parses") else {
+        panic!("BENCH_estimators.json is not a JSON object");
+    };
+    let commit = rows.first().map(|r| r.host.commit.clone());
+    let mut scale: Vec<Value> = report
+        .get("scale")
+        .and_then(Value::as_array)
+        .into_iter()
+        .flatten()
+        .filter(|r| {
+            let measured_at = r
+                .get("host")
+                .and_then(|h| h.get("commit"))
+                .and_then(Value::as_str);
+            measured_at.is_some() && measured_at != commit.as_deref()
+        })
+        .cloned()
+        .collect();
+    scale.extend(
+        rows.iter()
+            .map(|r| serde_json::to_value(r).expect("row serializes")),
+    );
+    report.insert("scale".to_string(), Value::Array(scale));
+    let json = serde_json::to_string_pretty(&Value::Object(report)).expect("report serializes");
+    std::fs::write(path, json + "\n").expect("write BENCH_estimators.json");
+    println!("merged {} scale rows into {path}", rows.len());
 }
 
 /// The mobility error surface (the "remaining axis" of the campaign): a
@@ -668,6 +829,10 @@ fn mobility_section(epochs: usize) -> Vec<MobilityRow> {
 }
 
 fn main() {
+    if std::env::args().any(|a| a == "--scale") {
+        merge_scale_rows(&scale_section());
+        return;
+    }
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (ablation_slots, cell_slots) = if smoke {
         (ABLATION_SLOTS_SMOKE, CELL_SLOTS_SMOKE)
@@ -752,27 +917,25 @@ fn main() {
     }
 
     if smoke {
-        println!("smoke ok: bit-identity and {SPEEDUP_FLOOR}x kernel floor hold");
+        println!("== scale row (1000 nodes, {SMOKE_SCALE_SLOTS} slots) ==");
+        let row = run_scale_row(1_000, SMOKE_SCALE_SLOTS);
+        print_scale_row(&row);
+        assert!(!row.skipped, "the 1000-node scale row must run");
+        let peak = row
+            .peak_rss_bytes
+            .expect("VmHWM is readable from /proc/self/status");
+        assert!(
+            peak < SMOKE_PEAK_RSS_BYTES,
+            "1000-node scale row peaked at {peak} B RSS (gate {SMOKE_PEAK_RSS_BYTES} B)"
+        );
+        println!(
+            "smoke ok: bit-identity, {SPEEDUP_FLOOR}x kernel floor and the \
+             1000-node peak-RSS gate hold"
+        );
         return;
     }
 
-    println!("== scale rows ==");
-    let scale: Vec<ScaleRow> = [(300usize, 2_000u64), (1_000, 1_000), (3_000, 500)]
-        .iter()
-        .map(|&(n, slots)| {
-            let row = run_scale_row(n, slots);
-            match (&row.skip_reason, row.per_slot_ns) {
-                (Some(reason), _) => println!("  n={n}: skipped — {reason}"),
-                (None, Some(ns)) => println!(
-                    "  n={n}: {} links, {:.1} µs/slot",
-                    row.num_links.unwrap_or(0),
-                    ns / 1e3
-                ),
-                _ => {}
-            }
-            row
-        })
-        .collect();
+    let scale = scale_section();
 
     let quantiles = error_quantiles(&sequential);
     for q in &quantiles {

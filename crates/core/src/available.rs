@@ -62,8 +62,11 @@ pub struct AvailableBandwidthOptions {
     pub dust_epsilon: f64,
     /// Split the link universe into potential-conflict components and
     /// enumerate each separately (see [`crate::decomposition`]). Exact for
-    /// pairwise models; slightly optimistic for additive-interference models
-    /// (cross-component interference residue is ignored). Off by default.
+    /// pairwise models. For additive-interference models the answer is an
+    /// upper bound of the joint optimum: cross-component interference is
+    /// ignored, so it can exceed the joint optimum, and it is exact when
+    /// the superimposed witness passes [`LinkRateModel::admissible`]. Off
+    /// by default.
     pub decompose: bool,
     /// Which solve strategy to use. Defaults to
     /// [`SolverKind::FullEnumeration`].

@@ -10,9 +10,13 @@
 //!
 //! Exactness caveat: in pairwise models ([`awb_net::DeclarativeModel`]) this
 //! is an identity. In the physical model, links in different components
-//! still leak *some* additive interference into each other; treating them as
-//! independent ignores that residue, so decomposed results can be slightly
-//! optimistic. The decomposition is therefore opt-in
+//! still leak *some* additive interference into each other, and treating
+//! them as independent ignores that residue. A jointly admissible set,
+//! restricted to one component, stays admissible there at rates at least as
+//! high, so the decomposed LP is a relaxation: its answer is an upper bound
+//! of the joint optimum and can exceed it. It is exact when the superimposed
+//! witness passes [`LinkRateModel::admissible`]. The decomposition is
+//! therefore opt-in
 //! ([`AvailableBandwidthOptions::decompose`](crate::AvailableBandwidthOptions)).
 
 use crate::schedule::Schedule;

@@ -269,8 +269,6 @@ pub struct UnitCache {
     entries: BTreeMap<u64, (Arc<CompiledUnit>, u64)>,
     epoch: u64,
     retention: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl Default for UnitCache {
@@ -292,8 +290,6 @@ impl UnitCache {
             entries: BTreeMap::new(),
             epoch: 0,
             retention,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -307,24 +303,11 @@ impl UnitCache {
         self.entries.is_empty()
     }
 
-    /// Lifetime (hits, misses) counters of [`UnitCache::lookup`].
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
     /// The unit with this content hash, if cached; refreshes its epoch.
     pub fn lookup(&mut self, content_hash: u64) -> Option<Arc<CompiledUnit>> {
-        match self.entries.get_mut(&content_hash) {
-            Some((unit, touched)) => {
-                *touched = self.epoch;
-                self.hits += 1;
-                Some(Arc::clone(unit))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let (unit, touched) = self.entries.get_mut(&content_hash)?;
+        *touched = self.epoch;
+        Some(Arc::clone(unit))
     }
 
     /// Inserts (or refreshes) a unit under its own content hash.
@@ -449,8 +432,6 @@ mod tests {
         // Two idle epochs with retention 1: pruned.
         assert!(cache.lookup(unit.content_hash()).is_none());
         assert!(cache.is_empty());
-        let (hits, misses) = cache.stats();
-        assert_eq!((hits, misses), (2, 1));
     }
 
     #[test]

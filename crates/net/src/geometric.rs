@@ -1,8 +1,9 @@
 //! The geometric (physical / SINR) interference model.
 
+use crate::capture::AdditiveCapture;
 use crate::ids::{LinkId, NodeId};
 use crate::model::LinkRateModel;
-use crate::topology::Topology;
+use crate::topology::{Link, Topology};
 use awb_phy::{Phy, Rate};
 
 fn fingerprint_seed() -> u64 {
@@ -26,56 +27,91 @@ fn fingerprint_mix(hash: u64, value: u64) -> u64 {
 /// with interference summed over every *other* transmitter in `E` — meets the
 /// rate's threshold (Eq. 1).
 ///
-/// Distances between every transmitter and every receiver are precomputed at
-/// construction, so admissibility checks are allocation-free inner loops.
+/// Received power depends on a transmitting and a receiving node only, so
+/// construction precomputes one flat table over the distinct transmitting ×
+/// distinct receiving nodes (`T × R` entries, at most `min(L², N²)`), each
+/// link's slots in it, each link's signal power and the decode ladder of
+/// [`Phy::capture_thresholds`] — together the model's [`AdditiveCapture`].
+/// Admissibility checks are then allocation-free inner loops with no
+/// path-loss evaluation.
 #[derive(Debug, Clone)]
 pub struct SinrModel {
     topology: Topology,
     phy: Phy,
-    /// `tx_rx_power[t][r]` = received power at the receiver of link `r` from
-    /// the transmitter of link `t`.
-    tx_rx_power: Vec<Vec<f64>>,
-    /// Signal power of each link (`tx_rx_power[j][j]`).
-    signal: Vec<f64>,
+    /// Node-pair received powers, per-link slots and signals, noise and the
+    /// decode ladder.
+    capture: AdditiveCapture,
     /// Cached alone-rate lists per link, descending.
     alone: Vec<Vec<Rate>>,
 }
 
+/// Slot of each node within the distinct nodes that `endpoint` picks out of
+/// the links, in order of first appearance: per link, its node's slot, and
+/// the slotted nodes.
+fn node_slots(
+    topology: &Topology,
+    endpoint: impl Fn(&Link) -> NodeId,
+) -> (Vec<usize>, Vec<NodeId>) {
+    let mut slot_of = vec![usize::MAX; topology.num_nodes()];
+    let mut nodes = Vec::new();
+    let slots = topology
+        .links()
+        .map(|link| {
+            let node = endpoint(link);
+            let slot = &mut slot_of[node.index()];
+            if *slot == usize::MAX {
+                *slot = nodes.len();
+                nodes.push(node);
+            }
+            *slot
+        })
+        .collect();
+    (slots, nodes)
+}
+
 impl SinrModel {
-    /// Builds the model; O(L²) pairwise powers are precomputed.
+    /// Builds the model: O(T·R + L) — one received power per distinct
+    /// (transmitting node, receiving node) pair, then per-link lookups.
     ///
     /// # Panics
     ///
     /// Never panics: all link endpoints are validated by the topology.
     pub fn new(topology: Topology, phy: Phy) -> SinrModel {
-        let l = topology.num_links();
-        let mut tx_rx_power = vec![vec![0.0; l]; l];
-        for t in topology.links() {
-            for r in topology.links() {
+        let (tx_slot, transmitters) = node_slots(&topology, Link::tx);
+        let (rx_slot, receivers) = node_slots(&topology, Link::rx);
+        let mut power = Vec::with_capacity(transmitters.len() * receivers.len());
+        for &t in &transmitters {
+            for &r in &receivers {
                 let d = topology
-                    .distance(t.tx(), r.rx())
+                    .distance(t, r)
                     .expect("link endpoints are validated by the topology");
-                tx_rx_power[t.id().index()][r.id().index()] = phy.received_power(d);
+                power.push(phy.received_power(d));
             }
         }
-        let signal: Vec<f64> = (0..l).map(|j| tx_rx_power[j][j]).collect();
-        let alone: Vec<Vec<Rate>> = topology
-            .links()
-            .map(|link| {
-                let d = topology
-                    .link_length(link.id())
-                    .expect("link exists by construction");
-                match phy.max_rate_alone(d) {
-                    Some(max) => phy.rates().rates_up_to(max),
-                    None => Vec::new(),
-                }
+        let signal = tx_slot
+            .iter()
+            .zip(&rx_slot)
+            .map(|(&t, &r)| power[t * receivers.len() + r])
+            .collect();
+        let capture = AdditiveCapture {
+            receivers: receivers.len(),
+            power,
+            tx_slot,
+            rx_slot,
+            signal,
+            noise: phy.noise(),
+            steps: phy.capture_thresholds(),
+        };
+        let alone = (0..topology.num_links())
+            .map(|j| match capture.max_rate(j, 0.0) {
+                Some(max) => phy.rates().rates_up_to(max),
+                None => Vec::new(),
             })
             .collect();
         SinrModel {
             topology,
             phy,
-            tx_rx_power,
-            signal,
+            capture,
             alone,
         }
     }
@@ -96,11 +132,8 @@ impl SinrModel {
     /// Total interference power at the receiver of `link` when `active`
     /// (excluding `link` itself) transmit concurrently.
     pub fn interference_at(&self, link: LinkId, active: &[LinkId]) -> f64 {
-        active
-            .iter()
-            .filter(|&&a| a != link)
-            .map(|a| self.tx_rx_power[a.index()][link.index()])
-            .sum()
+        self.capture
+            .interference(link.index(), active.iter().map(|a| a.index()))
     }
 
     /// The distance within which a *single* interfering transmitter denies
@@ -134,12 +167,8 @@ impl SinrModel {
     /// (which should include `link`) transmit concurrently; `None` when the
     /// link cannot sustain any rate — this is the `r_ij^*` of §2.3.
     pub fn max_rate_in_set(&self, link: LinkId, active: &[LinkId]) -> Option<Rate> {
-        let d = self
-            .topology
-            .link_length(link)
-            .expect("callers pass links of this topology");
-        let interference = self.interference_at(link, active);
-        self.phy.max_rate_under_interference(d, interference)
+        self.capture
+            .max_rate(link.index(), self.interference_at(link, active))
     }
 }
 
@@ -153,23 +182,19 @@ impl LinkRateModel for SinrModel {
     }
 
     fn admissible(&self, assignment: &[(LinkId, Rate)]) -> bool {
+        let c = &self.capture;
         for &(link, rate) in assignment {
             if rate.is_zero() {
                 return false;
             }
-            let Some(spec) = self.phy.rates().spec_for(rate) else {
+            let Some(step) = c.steps.iter().find(|s| s.rate == rate) else {
                 return false;
             };
             let j = link.index();
-            let pr = self.signal[j];
-            let interference: f64 = assignment
-                .iter()
-                .filter(|(other, _)| *other != link)
-                .map(|(other, _)| self.tx_rx_power[other.index()][j])
-                .sum();
-            let sensitivity = self.phy.received_power(spec.max_distance);
-            let sinr = pr / (interference + self.phy.noise());
-            if pr < sensitivity * (1.0 - 1e-12) || sinr < spec.sinr_linear() * (1.0 - 1e-12) {
+            let pr = c.signal[j];
+            let interference = c.interference(j, assignment.iter().map(|(other, _)| other.index()));
+            let sinr = pr / (interference + c.noise);
+            if pr < step.min_signal || sinr < step.min_sinr {
                 return false;
             }
         }
@@ -199,10 +224,11 @@ impl LinkRateModel for SinrModel {
     fn victim_max_rate(&self, link: LinkId, others: &[(LinkId, Rate)]) -> Option<Rate> {
         // Exact joint computation: sum the interference of every other
         // transmitter (their chosen rates are irrelevant to this victim).
-        let active: Vec<LinkId> = std::iter::once(link)
-            .chain(others.iter().map(|&(l, _)| l).filter(|&l| l != link))
-            .collect();
-        self.max_rate_in_set(link, &active)
+        let j = link.index();
+        let interference = self
+            .capture
+            .interference(j, others.iter().map(|(l, _)| l.index()));
+        self.capture.max_rate(j, interference)
     }
 
     fn link_fingerprint(&self, link: LinkId) -> u64 {
@@ -248,19 +274,8 @@ impl LinkRateModel for SinrModel {
         h
     }
 
-    fn additive_capture(&self) -> Option<crate::AdditiveCapture> {
-        let n = self.topology.num_links();
-        let mut power = Vec::with_capacity(n * n);
-        for row in &self.tx_rx_power {
-            power.extend_from_slice(row);
-        }
-        Some(crate::AdditiveCapture {
-            num_links: n,
-            power,
-            signal: self.signal.clone(),
-            noise: self.phy.noise(),
-            steps: self.phy.capture_thresholds(),
-        })
+    fn additive_capture(&self) -> Option<&AdditiveCapture> {
+        Some(&self.capture)
     }
 }
 
@@ -436,6 +451,35 @@ mod tests {
         assert_eq!(by_ref.link_fingerprint(l1), m.link_fingerprint(l1));
         assert_eq!(by_ref.model_fingerprint(), m.model_fingerprint());
         assert_ne!(m.model_fingerprint(), 0);
+    }
+
+    #[test]
+    fn power_table_holds_linked_node_pairs_only() {
+        // 1,000 nodes, one link: one (transmitter, receiver) pair, not N².
+        let mut t = Topology::new();
+        for i in 0..1_000 {
+            t.add_node(f64::from(i), 0.0);
+        }
+        let ab = t
+            .add_link(NodeId::from_index(0), NodeId::from_index(40))
+            .unwrap();
+        let m = SinrModel::new(t, Phy::paper_default());
+        assert_eq!(m.capture.power.len(), 1);
+        assert_eq!(m.capture.receivers, 1);
+        assert_eq!(m.alone_rates(ab).len(), 4);
+        // A relay chain a→b→c plus a→c: transmitters {a, b}, receivers
+        // {b, c}, so 4 entries where the link-pair table had 9.
+        let mut t = Topology::new();
+        let a = t.add_node(0.0, 0.0);
+        let b = t.add_node(40.0, 0.0);
+        let c = t.add_node(80.0, 0.0);
+        t.add_link(a, b).unwrap();
+        t.add_link(b, c).unwrap();
+        t.add_link(a, c).unwrap();
+        let m = SinrModel::new(t, Phy::paper_default());
+        assert_eq!(m.capture.power.len(), 4);
+        assert_eq!(m.capture.tx_slot, vec![0, 1, 0]);
+        assert_eq!(m.capture.rx_slot, vec![0, 1, 1]);
     }
 
     #[test]

@@ -109,16 +109,17 @@ pub trait LinkRateModel: Sync {
     }
 
     /// The precompiled additive-interference capture tables of this model,
-    /// if it is additive: per-pair received powers, signals, noise and the
-    /// tolerance-scaled decode ladder, from which
-    /// [`victim_max_rate`](Self::victim_max_rate) can be replayed
-    /// bit-for-bit (see [`AdditiveCapture`]).
+    /// if it is additive: node-pair received powers with each link's slots
+    /// in them, signals, noise and the tolerance-scaled decode ladder, from
+    /// which [`victim_max_rate`](Self::victim_max_rate) can be replayed
+    /// bit-for-bit (see [`AdditiveCapture`]). Borrowed from the model, so a
+    /// caller pays no copy.
     ///
     /// `None` (the default) means the model carries no additive tables;
     /// compiled MAC kernels then fall back to pairwise conflict masks (when
     /// [`pairwise_admissibility_exact`](Self::pairwise_admissibility_exact))
     /// or to calling the model directly.
-    fn additive_capture(&self) -> Option<AdditiveCapture> {
+    fn additive_capture(&self) -> Option<&AdditiveCapture> {
         None
     }
 
@@ -190,7 +191,7 @@ impl<M: LinkRateModel + ?Sized> LinkRateModel for &M {
     fn victim_max_rate(&self, link: LinkId, others: &[(LinkId, Rate)]) -> Option<Rate> {
         (**self).victim_max_rate(link, others)
     }
-    fn additive_capture(&self) -> Option<AdditiveCapture> {
+    fn additive_capture(&self) -> Option<&AdditiveCapture> {
         (**self).additive_capture()
     }
     // The fingerprints MUST forward: falling back to the defaulted `0` for

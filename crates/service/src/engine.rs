@@ -89,8 +89,10 @@ pub struct EngineConfig {
     /// order requests arrive in.
     pub solver: SolverKind,
     /// Compile per conflict component instead of per whole universe (see
-    /// [`AvailableBandwidthOptions::decompose`]: exact for pairwise models,
-    /// slightly optimistic for SINR models). `true` is what makes patching
+    /// [`AvailableBandwidthOptions::decompose`]: exact for pairwise models;
+    /// for SINR models an upper bound of the joint optimum that can exceed
+    /// it, exact when the superimposed witness passes
+    /// `LinkRateModel::admissible`). `true` is what makes patching
     /// an instance after an `update` component-granular (an untouched
     /// component is reused without recompilation), at the cost of storing
     /// the component adjacency alongside each instance.
@@ -126,6 +128,27 @@ impl Default for EngineConfig {
             stab_alpha: AvailableBandwidthOptions::default().stab_alpha,
             pricing_threads: 1,
             column_pool_cap: AvailableBandwidthOptions::default().column_pool_cap,
+        }
+    }
+}
+
+impl EngineConfig {
+    /// The solve options every Eq. 6 query of an [`Engine`] built from this
+    /// config runs under (a request may still narrow `max_set_size`): the
+    /// one mapping from config fields to [`AvailableBandwidthOptions`].
+    pub fn solve_options(&self) -> AvailableBandwidthOptions {
+        AvailableBandwidthOptions {
+            enumeration: EnumerationOptions {
+                engine: self.enumeration_engine,
+                ..EnumerationOptions::default()
+            },
+            solver: self.solver,
+            decompose: self.decompose,
+            pricing: self.pricing,
+            stab_alpha: self.stab_alpha,
+            pricing_threads: self.pricing_threads,
+            column_pool_cap: self.column_pool_cap,
+            ..AvailableBandwidthOptions::default()
         }
     }
 }
@@ -181,19 +204,7 @@ impl Engine {
             instances: Mutex::new(LruCache::new(config.sets_cache_capacity)),
             builds: Coalescer::new(),
             results: Mutex::new(LruCache::new(config.result_cache_capacity)),
-            options: AvailableBandwidthOptions {
-                enumeration: EnumerationOptions {
-                    engine: config.enumeration_engine,
-                    ..EnumerationOptions::default()
-                },
-                solver: config.solver,
-                decompose: config.decompose,
-                pricing: config.pricing,
-                stab_alpha: config.stab_alpha,
-                pricing_threads: config.pricing_threads,
-                column_pool_cap: config.column_pool_cap,
-                ..AvailableBandwidthOptions::default()
-            },
+            options: config.solve_options(),
             reactor_metrics: Mutex::new(None),
             metrics: Metrics::new(),
         }
@@ -1412,5 +1423,41 @@ mod tests {
         }];
         let err = engine.handle(&request, None).unwrap_err();
         assert_eq!(err.code, ErrorCode::InfeasibleBackground);
+    }
+
+    #[test]
+    fn solve_options_carry_every_solver_field_of_the_config() {
+        let config = EngineConfig {
+            enumeration_engine: EngineKind::Compiled(3),
+            solver: SolverKind::ColumnGeneration,
+            decompose: true,
+            pricing: PricingMode::ExactOnly,
+            stab_alpha: 0.25,
+            pricing_threads: 4,
+            column_pool_cap: 17,
+            ..EngineConfig::default()
+        };
+        let defaults = AvailableBandwidthOptions::default();
+        let options = config.solve_options();
+        assert_ne!(options.enumeration.engine, defaults.enumeration.engine);
+        assert_eq!(options.enumeration.engine, EngineKind::Compiled(3));
+        assert_eq!(options.solver, SolverKind::ColumnGeneration);
+        assert!(options.decompose);
+        assert_eq!(options.pricing, PricingMode::ExactOnly);
+        assert_eq!(options.stab_alpha.to_bits(), 0.25f64.to_bits());
+        assert_eq!(options.pricing_threads, 4);
+        assert_eq!(options.column_pool_cap, 17);
+        // What the config does not name keeps the library default, and an
+        // engine runs under exactly these options.
+        assert_eq!(
+            options.dust_epsilon.to_bits(),
+            defaults.dust_epsilon.to_bits()
+        );
+        assert_eq!(
+            options.enumeration.max_set_size,
+            defaults.enumeration.max_set_size
+        );
+        assert_eq!(Engine::new(config).options, options);
+        assert_eq!(EngineConfig::default().solve_options(), defaults);
     }
 }

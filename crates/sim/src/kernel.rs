@@ -3,12 +3,14 @@
 //! The reference loop ([`Simulator::run_reference`]) re-asks the model the
 //! same questions every slot: "does this transmitter hear that granted
 //! link?" (a distance + path-loss computation per pair) and "which rate does
-//! this victim still decode?" (an allocation plus a power sum per granted
-//! link). This module splits the run into a **compile** step — hearing,
-//! interference and conflict relations flattened once into word-packed
-//! `u64` masks and power tables — and a **step** kernel whose per-slot work
-//! is a handful of AND/OR/popcount operations over a reused
-//! [`SlotScratch`] arena, with no per-slot allocation.
+//! this victim still decode?" (a fresh assignment plus a power sum per
+//! granted link). This module splits the run into a **compile** step —
+//! hearing and conflict relations flattened once into word-packed `u64`
+//! masks, additive interference read straight from the model's node-pair
+//! power table ([`awb_net::AdditiveCapture`], borrowed, not copied) — and a
+//! **step** kernel whose per-slot work is a handful of AND/OR/popcount
+//! operations over a reused [`SlotScratch`] arena, with no per-slot
+//! allocation.
 //!
 //! # The bit-identity contract
 //!
@@ -24,9 +26,10 @@
 //!   loop.
 //! * **Float operation order** is replayed exactly: backlog sums walk the
 //!   feeder list in insertion order, and the additive capture kernel sums
-//!   interference powers in grant order, the same order
+//!   interference powers (`power[tx_slot(g) · R + rx_slot(victim)]`) in
+//!   grant order, the same table and order
 //!   [`SinrModel::victim_max_rate`](awb_net::SinrModel) walks its
-//!   concurrent set. Thresholds are precompiled with their `1 - 1e-12`
+//!   concurrent set with. Thresholds are precompiled with their `1 - 1e-12`
 //!   tolerance factors already applied (same multiplication, same bits).
 
 use crate::engine::{is_capture_ok, Simulator};
@@ -40,7 +43,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 /// How the compiled engine answers the per-victim capture question.
-enum CaptureKernel {
+enum CaptureKernel<'m> {
     /// Pairwise conflict masks — exact when the model declares
     /// `pairwise_admissibility_exact()`. `deny[offsets[li] + k]` (a
     /// link-mask row) holds every link whose chosen rate conflicts with
@@ -48,14 +51,18 @@ enum CaptureKernel {
     /// `k` up to the chosen rate's index); the victim survives iff some row
     /// is disjoint from the granted set.
     Pairwise { deny: Vec<u64>, offsets: Vec<usize> },
-    /// Additive interference tables (the SINR model): power sum in grant
-    /// order, then a walk down the tolerance-scaled decode ladder. `power`
-    /// is the model's table **transposed** (victim-major,
-    /// `power[victim * n + aggressor]`) so one victim's sum reads a
-    /// contiguous row.
+    /// Additive interference tables (the SINR model), borrowed from the
+    /// model: the victim's node-pair column summed in grant order
+    /// (`power[tx_slot(g) · R + rx_slot(victim)]`), then one comparison
+    /// `sinr >= min_sinr[li]`. The victim decodes its chosen rate iff the
+    /// first ladder step it passes is at or above that rate, i.e. (rates
+    /// descending) iff it passes any step at or above it. Its signal is
+    /// constant, so which of those steps' `min_signal` it meets is known at
+    /// compile time, and passing one of them means meeting the least
+    /// `min_sinr` among them (`None`: no step qualifies, never decoded).
     Additive {
-        tables: AdditiveCapture,
-        power: Vec<f64>,
+        tables: &'m AdditiveCapture,
+        min_sinr: Vec<Option<f64>>,
     },
     /// Fallback for models that are neither: call the model per victim,
     /// over a reused assignment buffer.
@@ -64,7 +71,7 @@ enum CaptureKernel {
 
 /// The compiled form of one simulation: every model query the slot loop
 /// needs, flattened into dense arrays and masks.
-struct CompiledSim {
+struct CompiledSim<'m> {
     num_links: usize,
     num_nodes: usize,
     /// Words per link mask.
@@ -87,13 +94,17 @@ struct CompiledSim {
     /// Backlog of a link with an always-zero queue (no feeders): constant
     /// over the run, `0.0 + 1e-12 >= need`.
     zero_queue_backlog: Vec<bool>,
-    capture: CaptureKernel,
+    capture: CaptureKernel<'m>,
 }
 
 /// The reused per-slot arena: every buffer the step kernel writes, allocated
 /// once per run.
 struct SlotScratch {
-    backlogged: Vec<bool>,
+    /// Backlogged links, as a link mask.
+    backlogged: Vec<u64>,
+    /// Links whose feeder queues changed since their backlog was last
+    /// tested (arrivals and deliveries mark them), as a link mask.
+    dirty: Vec<u64>,
     /// This slot's backlogged contenders, collected in ascending link
     /// order, then shuffled (OrderedCsma only).
     contenders: Vec<usize>,
@@ -109,7 +120,7 @@ struct SlotScratch {
     busy_last: Vec<u64>,
 }
 
-fn compile<M: LinkRateModel>(sim: &Simulator, model: &M) -> CompiledSim {
+fn compile<'m, M: LinkRateModel>(sim: &Simulator, model: &'m M) -> CompiledSim<'m> {
     let t = model.topology();
     let num_links = t.num_links();
     let num_nodes = t.num_nodes();
@@ -154,14 +165,19 @@ fn compile<M: LinkRateModel>(sim: &Simulator, model: &M) -> CompiledSim {
         .collect();
 
     let capture = if let Some(tables) = model.additive_capture() {
-        let n = tables.num_links;
-        let mut power = vec![0.0f64; n * n];
-        for t in 0..n {
-            for r in 0..n {
-                power[r * n + t] = tables.power[t * n + r];
-            }
-        }
-        CaptureKernel::Additive { tables, power }
+        let min_sinr = (0..num_links)
+            .map(|li| {
+                let chosen = sim.link_rate[li]?;
+                let pr = tables.signal[li];
+                tables
+                    .steps
+                    .iter()
+                    .filter(|s| s.rate >= chosen && pr >= s.min_signal)
+                    .map(|s| s.min_sinr)
+                    .reduce(f64::min)
+            })
+            .collect();
+        CaptureKernel::Additive { tables, min_sinr }
     } else if model.pairwise_admissibility_exact() {
         let mut deny = Vec::new();
         let mut offsets = vec![0usize];
@@ -213,7 +229,7 @@ fn compile<M: LinkRateModel>(sim: &Simulator, model: &M) -> CompiledSim {
     }
 }
 
-impl CompiledSim {
+impl CompiledSim<'_> {
     fn hears_row(&self, li: usize) -> &[u64] {
         &self.hears[li * self.link_words..][..self.link_words]
     }
@@ -241,25 +257,13 @@ impl CompiledSim {
                     &scratch.granted_mask,
                 )
             }),
-            CaptureKernel::Additive { tables, power } => {
+            CaptureKernel::Additive { tables, min_sinr } => min_sinr[li].is_some_and(|min_sinr| {
                 // Interference summed in grant order — the order the
-                // model's own victim walk uses (the transposed table holds
-                // the exact same f64s, so the sum is bit-identical).
-                let row = &power[li * tables.num_links..][..tables.num_links];
-                let mut interference = 0.0;
-                for &g in &scratch.granted {
-                    if g != li {
-                        interference += row[g];
-                    }
-                }
-                let pr = tables.signal[li];
-                let sinr = pr / (interference + tables.noise);
-                tables
-                    .steps
-                    .iter()
-                    .find(|s| pr >= s.min_signal && sinr >= s.min_sinr)
-                    .is_some_and(|s| rate <= s.rate)
-            }
+                // model's own victim walk uses, over the model's own table,
+                // so the sum and the SINR are bit-identical.
+                let interference = tables.interference(li, scratch.granted.iter().copied());
+                tables.signal[li] / (interference + tables.noise) >= min_sinr
+            }),
             CaptureKernel::Generic => {
                 if scratch.assignment.len() != scratch.granted.len() {
                     scratch.assignment.clear();
@@ -281,22 +285,22 @@ struct FeederSlot {
     queue: u32,
     /// Next hop's queue slot, or `u32::MAX` for end-to-end delivery.
     next: u32,
+    /// The link the `next` queue feeds (unused for end-to-end delivery).
+    next_link: u32,
     flow: u32,
 }
 
 /// Everything [`step_slot`] reads but never writes: the compiled relations
 /// plus the run-constant link/flow arrays built once by [`run_compiled`].
 struct SlotPlan<'a> {
-    compiled: &'a CompiledSim,
-    /// Links whose backlog can change (live, with at least one feeder): the
-    /// only rows of `backlogged` that need recomputing each slot.
-    fed_links: &'a [usize],
+    compiled: &'a CompiledSim<'a>,
+    /// Links whose backlog can change (live, with at least one feeder), as
+    /// a link mask: the only bits of `backlogged` ever re-tested.
+    fed_mask: &'a [u64],
     /// Links that can ever be backlogged: fed links plus the (degenerate)
     /// zero-payload ones. Contention only needs to look at these — the rest
     /// of the topology never contends.
     candidates: &'a [usize],
-    /// Unfed candidates (zero payload, no feeders): backlogged every slot.
-    always_on: &'a [usize],
     /// Flow `fi`'s hop `hi` lives at queue-arena slot `offsets[fi] + hi`.
     offsets: &'a [usize],
     first_link: &'a [usize],
@@ -308,17 +312,67 @@ struct SlotPlan<'a> {
     is_dcf: bool,
 }
 
+/// Bits of each node's bit-sliced busy-slot counter (see
+/// [`SlotState::count_busy`]); the counters are flushed every
+/// `2^BUSY_PLANES - 1` slots, before any of them can wrap.
+const BUSY_PLANES: usize = 16;
+const BUSY_FLUSH_SLOTS: u32 = (1 << BUSY_PLANES) - 1;
+
 /// Everything [`step_slot`] writes: queues, delivery/busy accumulators and
 /// the DCF backoff state, allocated once by [`run_compiled`].
 struct SlotState {
     queues: Vec<f64>,
     delivered_mbit: Vec<f64>,
     node_busy_slots: Vec<u64>,
+    /// Busy slots counted since the last flush, bit-sliced: plane `k` of
+    /// node word `w` (`busy_planes[w * BUSY_PLANES + k]`) holds bit `k` of
+    /// the count of every node in that word.
+    busy_planes: Vec<u64>,
+    /// Slots added to `busy_planes` since the last flush.
+    busy_pending: u32,
     link_delivered_mbit: Vec<f64>,
     link_tx_slots: Vec<u64>,
     link_collision_slots: Vec<u64>,
     cw: Vec<u32>,
     backoff: Vec<Option<u32>>,
+}
+
+impl SlotState {
+    /// Counts one busy slot for every node in `busy`: a ripple-carry add of
+    /// the mask into the bit-sliced counters, a few word operations per node
+    /// word instead of one increment per busy node.
+    fn count_busy(&mut self, busy: &[u64]) {
+        for (w, &word) in busy.iter().enumerate() {
+            let mut carry = word;
+            for plane in &mut self.busy_planes[w * BUSY_PLANES..][..BUSY_PLANES] {
+                if carry == 0 {
+                    break;
+                }
+                let next = *plane & carry;
+                *plane ^= carry;
+                carry = next;
+            }
+        }
+        self.busy_pending += 1;
+        if self.busy_pending == BUSY_FLUSH_SLOTS {
+            self.flush_busy();
+        }
+    }
+
+    /// Moves the bit-sliced counts into `node_busy_slots`.
+    fn flush_busy(&mut self) {
+        for (n, slots) in self.node_busy_slots.iter_mut().enumerate() {
+            let planes = &self.busy_planes[(n / 64) * BUSY_PLANES..][..BUSY_PLANES];
+            let bit = n % 64;
+            *slots += planes
+                .iter()
+                .enumerate()
+                .map(|(k, plane)| ((plane >> bit) & 1) << k)
+                .sum::<u64>();
+        }
+        self.busy_planes.fill(0);
+        self.busy_pending = 0;
+    }
 }
 
 fn slots_of(range: &(u32, u32)) -> (usize, usize) {
@@ -353,50 +407,48 @@ fn step_slot<M: LinkRateModel>(
             Some(p) => {
                 if rng.gen_bool(p) {
                     state.queues[q0] += need;
+                    bitset::set_bit(&mut scratch.dirty, first);
                 }
             }
             None => {
                 // Saturated: first hop always has a slot's worth.
                 if state.queues[q0] < need {
                     state.queues[q0] = need;
+                    bitset::set_bit(&mut scratch.dirty, first);
                 }
             }
         }
     }
 
-    // Backlog. DCF needs the per-link backlogged flags (a link that
-    // drains its queue must drop its frozen backoff counter), so it
-    // keeps the flag array. The memoryless modes only ever consume the
-    // *list* of backlogged links in ascending order, so the backlog
-    // pass builds that list directly, merging the always-backlogged
-    // zero-payload candidates in link order as it goes.
-    if plan.is_dcf {
-        for &li in plan.fed_links {
-            let (s, e) = slots_of(&plan.feeder_ranges[li]);
-            let queued: f64 = plan.feeder_slots[s..e]
-                .iter()
-                .map(|sl| state.queues[sl.queue as usize])
-                .sum();
-            scratch.backlogged[li] = queued + 1e-12 >= compiled.need[li];
-        }
-    } else {
-        scratch.contenders.clear();
-        let mut ai = 0;
-        for &li in plan.fed_links {
-            while ai < plan.always_on.len() && plan.always_on[ai] < li {
-                scratch.contenders.push(plan.always_on[ai]);
-                ai += 1;
-            }
+    // Backlog. The reference loop re-sums every fed link's feeder queues
+    // each slot; a link's flag can only change when one of those queues
+    // did, so only the dirty fed links are re-summed (same feeder order,
+    // same sum) and every other flag carries over.
+    for w in 0..scratch.dirty.len() {
+        let mut bits = scratch.dirty[w] & plan.fed_mask[w];
+        scratch.dirty[w] = 0;
+        while bits != 0 {
+            let li = w * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
             let (s, e) = slots_of(&plan.feeder_ranges[li]);
             let queued: f64 = plan.feeder_slots[s..e]
                 .iter()
                 .map(|sl| state.queues[sl.queue as usize])
                 .sum();
             if queued + 1e-12 >= compiled.need[li] {
-                scratch.contenders.push(li);
+                bitset::set_bit(&mut scratch.backlogged, li);
+            } else {
+                bitset::clear_bit(&mut scratch.backlogged, li);
             }
         }
-        scratch.contenders.extend_from_slice(&plan.always_on[ai..]);
+    }
+    // The memoryless modes contend over the backlogged links in ascending
+    // order (the always-backlogged zero-payload candidates included).
+    if !plan.is_dcf {
+        scratch.contenders.clear();
+        scratch
+            .contenders
+            .extend(bitset::iter_bits(&scratch.backlogged));
     }
 
     // Contention resolution.
@@ -427,7 +479,7 @@ fn step_slot<M: LinkRateModel>(
         }
         Contention::Dcf { .. } => {
             for &li in plan.candidates {
-                if !scratch.backlogged[li] {
+                if !bitset::test_bit(&scratch.backlogged, li) {
                     state.backoff[li] = None; // nothing to send: drop state
                     continue;
                 }
@@ -467,6 +519,9 @@ fn step_slot<M: LinkRateModel>(
             state.backoff[li] = None; // re-draw next slot if still backlogged
         }
         if ok {
+            // Draining this link's feeders (and filling the next hops')
+            // may flip their backlog.
+            bitset::set_bit(&mut scratch.dirty, li);
             let mut remaining = compiled.need[li];
             let (s, e) = slots_of(&plan.feeder_ranges[li]);
             for sl in &plan.feeder_slots[s..e] {
@@ -481,6 +536,7 @@ fn step_slot<M: LinkRateModel>(
                     state.link_delivered_mbit[li] += moved;
                     if sl.next != u32::MAX {
                         state.queues[sl.next as usize] += moved;
+                        bitset::set_bit(&mut scratch.dirty, sl.next_link as usize);
                     } else {
                         state.delivered_mbit[sl.flow as usize] += moved;
                     }
@@ -496,9 +552,7 @@ fn step_slot<M: LinkRateModel>(
     for &g in &scratch.granted {
         bitset::or_into(&mut scratch.busy, compiled.hearer_row(g));
     }
-    for n in bitset::iter_bits(&scratch.busy) {
-        state.node_busy_slots[n] += 1;
-    }
+    state.count_busy(&scratch.busy);
     std::mem::swap(&mut scratch.busy, &mut scratch.busy_last);
 }
 
@@ -513,10 +567,11 @@ pub(crate) fn run_compiled<M: LinkRateModel>(sim: &Simulator, model: &M) -> SimR
     let flows = sim.sim_flows();
     let feeders = Simulator::feeders(&flows, num_links);
     // Links whose backlog can change (live, with at least one feeder): the
-    // only rows of `backlogged` that need recomputing each slot.
-    let fed_links: Vec<usize> = (0..num_links)
-        .filter(|&li| compiled.live[li] && !feeders[li].is_empty())
-        .collect();
+    // only bits of `backlogged` ever re-tested.
+    let mut fed_mask = vec![0u64; compiled.link_words];
+    for li in (0..num_links).filter(|&li| compiled.live[li] && !feeders[li].is_empty()) {
+        bitset::set_bit(&mut fed_mask, li);
+    }
     // Links that can ever be backlogged: fed links plus the (degenerate)
     // zero-payload ones. Contention only needs to look at these — the rest
     // of the topology never contends.
@@ -524,12 +579,6 @@ pub(crate) fn run_compiled<M: LinkRateModel>(sim: &Simulator, model: &M) -> SimR
         .filter(|&li| {
             compiled.live[li] && (!feeders[li].is_empty() || compiled.zero_queue_backlog[li])
         })
-        .collect();
-    // Unfed candidates (zero payload, no feeders): backlogged every slot.
-    let always_on: Vec<usize> = candidates
-        .iter()
-        .copied()
-        .filter(|&li| feeders[li].is_empty())
         .collect();
 
     // All per-hop queues flattened into one arena (flow `fi`'s hop `hi`
@@ -553,14 +602,14 @@ pub(crate) fn run_compiled<M: LinkRateModel>(sim: &Simulator, model: &M) -> SimR
         let start = feeder_slots.len() as u32;
         for &(fi, hi) in link_feeders {
             let queue = (offsets[fi] + hi) as u32;
-            let next = if hi + 1 < flows[fi].hops.len() {
-                queue + 1
-            } else {
-                u32::MAX
+            let (next, next_link) = match flows[fi].hops.get(hi + 1) {
+                Some(link) => (queue + 1, link.index() as u32),
+                None => (u32::MAX, u32::MAX),
             };
             feeder_slots.push(FeederSlot {
                 queue,
                 next,
+                next_link,
                 flow: fi as u32,
             });
         }
@@ -572,9 +621,8 @@ pub(crate) fn run_compiled<M: LinkRateModel>(sim: &Simulator, model: &M) -> SimR
 
     let plan = SlotPlan {
         compiled: &compiled,
-        fed_links: &fed_links,
+        fed_mask: &fed_mask,
         candidates: &candidates,
-        always_on: &always_on,
         offsets: &offsets,
         first_link: &first_link,
         arrival_p: &arrival_p,
@@ -588,14 +636,23 @@ pub(crate) fn run_compiled<M: LinkRateModel>(sim: &Simulator, model: &M) -> SimR
         queues,
         delivered_mbit,
         node_busy_slots: vec![0u64; num_nodes],
+        busy_planes: vec![0u64; compiled.node_words * BUSY_PLANES],
+        busy_pending: 0,
         link_delivered_mbit: vec![0.0f64; num_links],
         link_tx_slots: vec![0u64; num_links],
         link_collision_slots: vec![0u64; num_links],
         cw: vec![cw_min; num_links],
         backoff: vec![None; num_links],
     };
+    // Every link starts at its zero-queue flag, and every fed link is
+    // tested in the first slot.
+    let mut backlogged = vec![0u64; compiled.link_words];
+    for li in (0..num_links).filter(|&li| compiled.zero_queue_backlog[li]) {
+        bitset::set_bit(&mut backlogged, li);
+    }
     let mut scratch = SlotScratch {
-        backlogged: compiled.zero_queue_backlog.clone(),
+        dirty: fed_mask.clone(),
+        backlogged,
         contenders: Vec::with_capacity(candidates.len()),
         granted: Vec::with_capacity(num_links),
         granted_mask: vec![0u64; compiled.link_words],
@@ -607,6 +664,7 @@ pub(crate) fn run_compiled<M: LinkRateModel>(sim: &Simulator, model: &M) -> SimR
     for _ in 0..sim.config.slots {
         step_slot(sim, model, &plan, &mut state, &mut scratch, &mut rng);
     }
+    state.flush_busy();
 
     let total = sim.config.slots as f64;
     let duration = total * sim.config.slot_seconds;
