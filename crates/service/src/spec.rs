@@ -734,6 +734,22 @@ mod tests {
     }
 
     #[test]
+    fn linkless_nodes_add_nothing_to_the_sinr_power_table() {
+        // The service caps no spec size; 1,000 nodes with one link still
+        // build a one-entry node-pair table, not N² (or L²) entries.
+        let nodes: Vec<String> = (0..1_000).map(|i| format!("[{i},0]")).collect();
+        let spec: Value = serde_json::from_str(&format!(
+            r#"{{"model": "sinr", "nodes": [{}], "links": [[0, 40]]}}"#,
+            nodes.join(",")
+        ))
+        .unwrap();
+        let built = TopologySpec::from_value(&spec).unwrap().build().unwrap();
+        let table = built.model.additive_capture().expect("SINR is additive");
+        assert_eq!(table.power.len(), 1);
+        assert_eq!(built.model.topology().num_nodes(), 1_000);
+    }
+
+    #[test]
     fn sinr_round_trip_preserves_ids() {
         let mut t = Topology::new();
         let a = t.add_node(0.0, 0.0);

@@ -45,7 +45,9 @@ fn busy_counts_cross_node_words_and_flushes() {
     for i in 0..60 {
         t.add_node(5_000.0 + 10.0 * f64::from(i), 5_000.0);
     }
-    let chain: Vec<NodeId> = (0..9).map(|i| t.add_node(60.0 * f64::from(i), 0.0)).collect();
+    let chain: Vec<NodeId> = (0..9)
+        .map(|i| t.add_node(60.0 * f64::from(i), 0.0))
+        .collect();
     let links: Vec<_> = chain
         .windows(2)
         .map(|w| t.add_link(w[0], w[1]).unwrap())
