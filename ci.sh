@@ -55,7 +55,7 @@ cargo run --release -q -p awb-bench --bin enum_bench -- --smoke
 echo "==> colgen_bench --smoke (solver equivalence + speedup floor)"
 cargo run --release -q -p awb-bench --bin colgen_bench -- --smoke
 
-echo "==> colgen_bench --frontier-smoke (64-link clustered solve under wall-clock budget)"
+echo "==> colgen_bench --frontier-smoke (64-link clustered solve under wall-clock budget; 40-link single-component optimum bits + exact-search node ceiling)"
 cargo run --release -q -p awb-bench --bin colgen_bench -- --frontier-smoke
 
 echo "==> session_bench --smoke (warm-session bit-identity + speedup floor)"

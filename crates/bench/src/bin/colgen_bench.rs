@@ -25,23 +25,36 @@
 //! baseline run under the same timed kill (it dies inside any 24-link
 //! cluster, so every sweep size times out).
 //!
+//! Every row records the host it ran on (nproc, `rustc -V`, commit) and,
+//! for each column-generation solve, the exact search's work: its calls,
+//! the positions it branched at (`exact_nodes`, the same on every host)
+//! and its wall time per call. Writing the report keeps the rows other
+//! commits recorded in `BENCH_colgen.json` and replaces this commit's, so
+//! a before and an after run on one host sit side by side.
+//!
 //! `--smoke` runs the 12-link size with a loose speedup floor and writes
 //! nothing — the CI hook keeping the two solve paths equivalent.
 //! `--frontier-smoke` solves the 64-link clustered instance once under a
-//! wall-clock budget — the CI hook keeping the frontier reachable.
+//! wall-clock budget — the CI hook keeping the frontier reachable — and
+//! then the 40-link single-component draw `plan_frontier` calls `single40`,
+//! asserting its optimum's bits and a ceiling on the exact search's
+//! branching positions: both are deterministic, so that gate holds on any
+//! host, and a weaker exact-search bound fails it.
 //! `--ablate-probe` is a dev mode printing per-(pricing, `stab_alpha`)
 //! round/column/exact-call counts on the 24-link instance.
 
 #![forbid(unsafe_code)]
 
+use awb_bench::host::{host, Host};
 use awb_bench::topo::{clustered_rate_coupled, random_rate_coupled};
 use awb_core::{
     available_bandwidth, available_bandwidth_colgen, AvailableBandwidth, AvailableBandwidthOptions,
-    ColgenOutcome, Flow, PricingMode, SolverKind,
+    ColgenOutcome, ColgenStats, Flow, PricingMode, SolverKind,
 };
 use awb_net::{DeclarativeModel, LinkId, Path};
 use awb_sets::maximal_independent_sets;
 use serde::Serialize;
+use serde_json::Value;
 use std::time::{Duration, Instant};
 
 const SEED: u64 = 7;
@@ -61,12 +74,28 @@ const SWEEP_BUDGET: Duration = Duration::from_secs(10);
 /// 64-link sweep entry, which the component split answers in well under
 /// [`SWEEP_BUDGET`].
 const SINGLE_FRONTIER_LINKS: usize = 64;
-/// Generous ceiling for the single-oracle solve (measured ~2.5 min): the
-/// row exists to *quantify* the single-component wall, not to win it.
+/// Generous ceiling for the single-oracle solve (72 s with the per-node
+/// residual bound, 17 s with the clique cover, on a 2-vCPU host): the row
+/// exists to *quantify* the single-component wall, not to win it.
 const SINGLE_FRONTIER_BUDGET: Duration = Duration::from_secs(600);
+/// `plan_frontier`'s `single40` draw, which `--frontier-smoke` also solves:
+/// its link count and the optimum e2ebench records for it.
+const SMOKE_SINGLE_LINKS: usize = 40;
+const SMOKE_SINGLE_OPTIMUM: f64 = 52.00000000000002;
+/// Ceiling on the `single40` solve's exact-search branching positions
+/// (`ColgenStats::exact_nodes`). The clique-cover bound branches at
+/// 292,423 positions; the per-node residual bound it replaced
+/// branched at 1,809,789.
+const SMOKE_SINGLE_NODE_CEILING: u64 = 400_000;
+
+/// Wall-clock nanoseconds per exact branch-and-bound call of one solve.
+fn ns_per_exact_call(stats: &ColgenStats) -> f64 {
+    stats.exact_ns as f64 / stats.exact_calls.max(1) as f64
+}
 
 #[derive(Serialize)]
 struct SizeResult {
+    host: Host,
     links: usize,
     /// Maximal rated-set pool size — the full-enumeration LP's column count.
     maximal_sets: usize,
@@ -83,10 +112,15 @@ struct SizeResult {
     colgen_pivots: usize,
     /// full_ns / colgen_ns.
     speedup: f64,
+    exact_calls: usize,
+    /// Positions the exact search branched at, over all its calls.
+    exact_nodes: u64,
+    ns_per_exact_call: f64,
 }
 
 #[derive(Serialize)]
 struct FrontierResult {
+    host: Host,
     links: usize,
     timeout_s: u64,
     /// Whether full enumeration was killed at the timeout (expected true).
@@ -98,10 +132,15 @@ struct FrontierResult {
     colgen_pivots: usize,
     colgen_ns: u64,
     bandwidth_mbps: f64,
+    exact_calls: usize,
+    /// Positions the exact search branched at, over all its calls.
+    exact_nodes: u64,
+    ns_per_exact_call: f64,
 }
 
 #[derive(Serialize)]
 struct AblationResult {
+    host: Host,
     links: usize,
     /// Exact branch-and-bound invocations with heuristic-first pricing.
     heuristic_mode_exact_calls: usize,
@@ -117,6 +156,12 @@ struct AblationResult {
     optimum_bits_equal: bool,
     heuristic_mode_ns: u64,
     exact_mode_ns: u64,
+    /// Exact-search branching positions with heuristic-first pricing.
+    heuristic_mode_exact_nodes: u64,
+    /// Exact-search branching positions with exact-only pricing.
+    exact_mode_exact_nodes: u64,
+    heuristic_mode_ns_per_exact_call: f64,
+    exact_mode_ns_per_exact_call: f64,
 }
 
 /// The 64-link single-component row: the same rate-coupled draw as the
@@ -124,6 +169,7 @@ struct AblationResult {
 /// one conflict web, priced by one oracle.
 #[derive(Serialize)]
 struct SingleFrontierResult {
+    host: Host,
     links: usize,
     budget_s: u64,
     colgen_ns: u64,
@@ -136,12 +182,16 @@ struct SingleFrontierResult {
     pricing_heuristic_ns: u64,
     pricing_exact_ns: u64,
     heuristic_columns: usize,
-    exact_calls: usize,
     bandwidth_mbps: f64,
+    exact_calls: usize,
+    /// Positions the exact search branched at, over all its calls.
+    exact_nodes: u64,
+    ns_per_exact_call: f64,
 }
 
 #[derive(Serialize)]
 struct SweepResult {
+    host: Host,
     links: usize,
     clusters: usize,
     colgen_ns: u64,
@@ -157,12 +207,15 @@ struct SweepResult {
     /// Wall clock spent inside exact branch-and-bound pricing.
     pricing_exact_ns: u64,
     heuristic_columns: usize,
-    exact_calls: usize,
     /// Whether full enumeration was killed at the timeout (expected true:
     /// it dies inside any 24-link cluster).
     full_timed_out: bool,
     full_ns: Option<u64>,
     bandwidth_mbps: f64,
+    exact_calls: usize,
+    /// Positions the exact search branched at, over all its calls.
+    exact_nodes: u64,
+    ns_per_exact_call: f64,
 }
 
 #[derive(Serialize)]
@@ -171,10 +224,10 @@ struct Report {
     command: &'static str,
     seed: u64,
     results: Vec<SizeResult>,
-    frontier: FrontierResult,
-    ablation: AblationResult,
+    frontier: Vec<FrontierResult>,
+    ablation: Vec<AblationResult>,
     sweep: Vec<SweepResult>,
-    single_frontier: SingleFrontierResult,
+    single_frontier: Vec<SingleFrontierResult>,
 }
 
 /// The benchmark query on an `n`-link topology: the new path is the first
@@ -263,7 +316,15 @@ fn time_ns(mut f: impl FnMut()) -> u64 {
 fn run_size(links: usize) -> SizeResult {
     let (model, new_path, background, universe) = query(links);
     let full = solve(&model, &background, &new_path, SolverKind::FullEnumeration);
-    let colgen = solve(&model, &background, &new_path, SolverKind::ColumnGeneration);
+    let ColgenOutcome {
+        result: colgen,
+        stats,
+    } = solve_colgen(
+        &model,
+        &background,
+        &new_path,
+        &options(SolverKind::ColumnGeneration),
+    );
     let delta = (full.bandwidth_mbps() - colgen.bandwidth_mbps()).abs();
     assert!(
         delta < 1e-6,
@@ -279,6 +340,7 @@ fn run_size(links: usize) -> SizeResult {
         solve(&model, &background, &new_path, SolverKind::ColumnGeneration);
     });
     SizeResult {
+        host: host(),
         links,
         maximal_sets: maximal,
         colgen_columns: colgen.num_sets(),
@@ -290,6 +352,9 @@ fn run_size(links: usize) -> SizeResult {
         full_pivots: full.lp_pivots(),
         colgen_pivots: colgen.lp_pivots(),
         speedup: full_ns as f64 / colgen_ns as f64,
+        exact_calls: stats.exact_calls,
+        exact_nodes: stats.exact_nodes,
+        ns_per_exact_call: ns_per_exact_call(&stats),
     }
 }
 
@@ -325,11 +390,20 @@ fn run_frontier() -> FrontierResult {
     let (model, new_path, background, universe) = query(FRONTIER_LINKS);
     let maximal = maximal_independent_sets(&model, &universe).len();
     let started = Instant::now();
-    let colgen = solve(&model, &background, &new_path, SolverKind::ColumnGeneration);
+    let ColgenOutcome {
+        result: colgen,
+        stats,
+    } = solve_colgen(
+        &model,
+        &background,
+        &new_path,
+        &options(SolverKind::ColumnGeneration),
+    );
     let colgen_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let (full_timed_out, full_ns) =
         full_with_timeout(FRONTIER_TIMEOUT, &["--full-once".to_string()]);
     FrontierResult {
+        host: host(),
         links: FRONTIER_LINKS,
         timeout_s: FRONTIER_TIMEOUT.as_secs(),
         full_timed_out,
@@ -339,6 +413,9 @@ fn run_frontier() -> FrontierResult {
         colgen_pivots: colgen.lp_pivots(),
         colgen_ns,
         bandwidth_mbps: colgen.bandwidth_mbps(),
+        exact_calls: stats.exact_calls,
+        exact_nodes: stats.exact_nodes,
+        ns_per_exact_call: ns_per_exact_call(&stats),
     }
 }
 
@@ -362,6 +439,7 @@ fn run_ablation() -> AblationResult {
     );
     let exact_mode_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
     AblationResult {
+        host: host(),
         links: FRONTIER_LINKS,
         heuristic_mode_exact_calls: heur.stats.exact_calls,
         exact_mode_exact_calls: exact.stats.exact_calls,
@@ -371,6 +449,10 @@ fn run_ablation() -> AblationResult {
             == exact.result.bandwidth_mbps().to_bits(),
         heuristic_mode_ns,
         exact_mode_ns,
+        heuristic_mode_exact_nodes: heur.stats.exact_nodes,
+        exact_mode_exact_nodes: exact.stats.exact_nodes,
+        heuristic_mode_ns_per_exact_call: ns_per_exact_call(&heur.stats),
+        exact_mode_ns_per_exact_call: ns_per_exact_call(&exact.stats),
     }
 }
 
@@ -390,6 +472,7 @@ fn run_single_frontier() -> SingleFrontierResult {
          (budget {SINGLE_FRONTIER_BUDGET:?})"
     );
     SingleFrontierResult {
+        host: host(),
         links: SINGLE_FRONTIER_LINKS,
         budget_s: SINGLE_FRONTIER_BUDGET.as_secs(),
         colgen_ns: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
@@ -401,8 +484,10 @@ fn run_single_frontier() -> SingleFrontierResult {
         pricing_heuristic_ns: out.stats.heuristic_ns,
         pricing_exact_ns: out.stats.exact_ns,
         heuristic_columns: out.stats.heuristic_columns,
-        exact_calls: out.stats.exact_calls,
         bandwidth_mbps: out.result.bandwidth_mbps(),
+        exact_calls: out.stats.exact_calls,
+        exact_nodes: out.stats.exact_nodes,
+        ns_per_exact_call: ns_per_exact_call(&out.stats),
     }
 }
 
@@ -417,6 +502,7 @@ fn run_sweep_size(links: usize) -> SweepResult {
         &["--full-clustered".to_string(), links.to_string()],
     );
     SweepResult {
+        host: host(),
         links,
         clusters: links.div_ceil(SWEEP_CLUSTER),
         colgen_ns,
@@ -428,10 +514,12 @@ fn run_sweep_size(links: usize) -> SweepResult {
         pricing_heuristic_ns: out.stats.heuristic_ns,
         pricing_exact_ns: out.stats.exact_ns,
         heuristic_columns: out.stats.heuristic_columns,
-        exact_calls: out.stats.exact_calls,
         full_timed_out,
         full_ns,
         bandwidth_mbps: out.result.bandwidth_mbps(),
+        exact_calls: out.stats.exact_calls,
+        exact_nodes: out.stats.exact_nodes,
+        ns_per_exact_call: ns_per_exact_call(&out.stats),
     }
 }
 
@@ -482,6 +570,38 @@ fn main() {
             out.stats.pricing_rounds,
             out.result.num_sets(),
             out.stats.exact_calls,
+            out.result.bandwidth_mbps(),
+        );
+        // `plan_frontier`'s single40 draw: its optimum's bits, and the exact
+        // search's work counted in positions, not seconds.
+        let (model, new_path, background, _) = query(SMOKE_SINGLE_LINKS);
+        let started = Instant::now();
+        let out = solve_colgen(
+            &model,
+            &background,
+            &new_path,
+            &options(SolverKind::ColumnGeneration),
+        );
+        let elapsed = started.elapsed();
+        assert_eq!(
+            out.result.bandwidth_mbps().to_bits(),
+            SMOKE_SINGLE_OPTIMUM.to_bits(),
+            "{SMOKE_SINGLE_LINKS}-link optimum {:?} is not the recorded {SMOKE_SINGLE_OPTIMUM:?}",
+            out.result.bandwidth_mbps(),
+        );
+        assert!(
+            out.stats.exact_nodes <= SMOKE_SINGLE_NODE_CEILING,
+            "{SMOKE_SINGLE_LINKS}-link solve: the exact search branched at {} positions \
+             (ceiling {SMOKE_SINGLE_NODE_CEILING})",
+            out.stats.exact_nodes,
+        );
+        println!(
+            "colgen_bench frontier smoke ok: {SMOKE_SINGLE_LINKS} links, one component, in \
+             {:.2}s ({} exact calls, {} positions branched at, ceiling {}, {:?} Mbps)",
+            elapsed.as_secs_f64(),
+            out.stats.exact_calls,
+            out.stats.exact_nodes,
+            SMOKE_SINGLE_NODE_CEILING,
             out.result.bandwidth_mbps(),
         );
         return;
@@ -616,7 +736,8 @@ fn main() {
     for s in &sweep {
         println!(
             "{:>3} links / {} clusters: colgen {:>6.2}s ({} rounds, {} columns, {} pivots; \
-             pricing {:.0}ms heuristic + {:.0}ms exact, {} exact calls); full enum killed: {}",
+             pricing {:.0}ms heuristic + {:.0}ms exact, {} exact calls, {} nodes); \
+             full enum killed: {}",
             s.links,
             s.clusters,
             s.colgen_ns as f64 / 1e9,
@@ -626,30 +747,72 @@ fn main() {
             s.pricing_heuristic_ns as f64 / 1e6,
             s.pricing_exact_ns as f64 / 1e6,
             s.exact_calls,
+            s.exact_nodes,
             s.full_timed_out,
         );
     }
     println!(
         "{:>3} links / 1 component: colgen {:>6.2}s ({} rounds, {} columns, peak pool {}, \
-         {} exact calls) — the single-oracle wall the clustered sweep avoids",
+         {} exact calls, {} nodes, {:.1} ms per call) — the single-oracle wall the clustered \
+         sweep avoids",
         single_frontier.links,
         single_frontier.colgen_ns as f64 / 1e9,
         single_frontier.pricing_rounds,
         single_frontier.colgen_columns,
         single_frontier.pool_peak,
         single_frontier.exact_calls,
+        single_frontier.exact_nodes,
+        single_frontier.ns_per_exact_call / 1e6,
     );
     let report = Report {
         bench: "colgen-vs-full-enumeration",
         command: "cargo run --release -p awb-bench --bin colgen_bench",
         seed: SEED,
         results,
-        frontier,
-        ablation,
+        frontier: vec![frontier],
+        ablation: vec![ablation],
         sweep,
-        single_frontier,
+        single_frontier: vec![single_frontier],
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write("BENCH_colgen.json", json + "\n").expect("write BENCH_colgen.json");
-    println!("wrote BENCH_colgen.json");
+    merge_report(&report);
+}
+
+/// Writes `report` to `BENCH_colgen.json`, keeping the rows the existing
+/// file holds from other commits: each section (every list in the report)
+/// holds those rows first, then this run's. Rows that record no host are
+/// dropped.
+fn merge_report(report: &Report) {
+    let path = "BENCH_colgen.json";
+    let Value::Object(mut merged) = serde_json::to_value(report).expect("report serializes") else {
+        panic!("the report serializes to an object");
+    };
+    let commit = host().commit;
+    let previous: Value = std::fs::read_to_string(path)
+        .ok()
+        .and_then(|text| serde_json::from_str(&text).ok())
+        .unwrap_or(Value::Null);
+    for (section, value) in merged.iter_mut() {
+        let Value::Array(rows) = value else {
+            continue;
+        };
+        let mut kept: Vec<Value> = previous
+            .get(section)
+            .and_then(Value::as_array)
+            .into_iter()
+            .flatten()
+            .filter(|row| {
+                let measured_at = row
+                    .get("host")
+                    .and_then(|h| h.get("commit"))
+                    .and_then(Value::as_str);
+                measured_at.is_some() && measured_at != Some(commit.as_str())
+            })
+            .cloned()
+            .collect();
+        kept.append(rows);
+        *rows = kept;
+    }
+    let json = serde_json::to_string_pretty(&Value::Object(merged)).expect("report serializes");
+    std::fs::write(path, json + "\n").expect("write BENCH_colgen.json");
+    println!("wrote {path} (rows of other commits kept)");
 }

@@ -40,6 +40,7 @@
 
 #![forbid(unsafe_code)]
 
+use awb_bench::host::{host, Host};
 use awb_bench::rows::{EstimatorError, Fig4Row};
 use awb_core::{AvailableBandwidthOptions, Flow, Schedule, Session, SolverKind};
 use awb_estimate::{Estimator, Hop, IdleMap};
@@ -56,7 +57,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use serde_json::Value;
-use std::process::Command;
 use std::time::Instant;
 
 /// Slots per campaign-cell simulation.
@@ -135,16 +135,6 @@ struct ParallelRow {
     bit_identical: bool,
     /// FNV-1a of the serialized cells, for eyeballing across runs.
     results_hash: String,
-}
-
-/// Where a row was measured.
-#[derive(Serialize)]
-struct Host {
-    nproc: usize,
-    rustc: String,
-    /// `git describe --always --dirty` of the source tree the bench was
-    /// built from.
-    commit: String,
 }
 
 #[derive(Serialize)]
@@ -582,37 +572,6 @@ fn peak_rss_bytes() -> Option<u64> {
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kib * 1024)
-}
-
-/// The standard output of a command, trimmed; `"unknown"` when it fails.
-fn command_output(program: &str, args: &[&str]) -> String {
-    Command::new(program)
-        .args(args)
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .map_or_else(
-            || "unknown".to_string(),
-            |out| String::from_utf8_lossy(&out.stdout).trim().to_string(),
-        )
-}
-
-fn host() -> Host {
-    Host {
-        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        rustc: command_output("rustc", &["-V"]),
-        commit: command_output(
-            "git",
-            &[
-                "-C",
-                env!("CARGO_MANIFEST_DIR"),
-                "describe",
-                "--always",
-                "--dirty",
-                "--abbrev=12",
-            ],
-        ),
-    }
 }
 
 fn run_scale_row(num_nodes: usize, slots: u64) -> ScaleRow {

@@ -9,6 +9,7 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod host;
 pub mod rows;
 pub mod svg;
 pub mod table;

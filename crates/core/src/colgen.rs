@@ -101,6 +101,10 @@ pub struct ColgenStats {
     /// Exact branch-and-bound invocations — the expensive certifier.
     /// Under [`PricingMode::ExactOnly`] every pricing call counts here.
     pub exact_calls: usize,
+    /// Positions the exact branch-and-bound branched at, summed over its
+    /// calls ([`awb_sets::PricingAnswer::exact_nodes`]): its work, counted
+    /// the same on every host.
+    pub exact_nodes: u64,
     /// Wall-clock nanoseconds spent in the heuristic constructor.
     pub heuristic_ns: u64,
     /// Wall-clock nanoseconds spent in the exact branch-and-bound.
@@ -121,6 +125,7 @@ impl ColgenStats {
         self.pivots += other.pivots;
         self.heuristic_columns += other.heuristic_columns;
         self.exact_calls += other.exact_calls;
+        self.exact_nodes += other.exact_nodes;
         self.heuristic_ns += other.heuristic_ns;
         self.exact_ns += other.exact_ns;
         // Peaks are concurrent high-water marks, not additive counts.
@@ -342,6 +347,7 @@ fn stage_a<M: LinkRateModel>(
         stats.exact_ns += answer.exact_ns;
         if answer.exact_invoked {
             stats.exact_calls += 1;
+            stats.exact_nodes += answer.exact_nodes;
         }
         let Some((set, _value)) = answer.column else {
             break;
@@ -601,6 +607,7 @@ pub(crate) fn solve_with_pools<M: LinkRateModel>(
             stats.exact_ns += answer.exact_ns;
             if answer.exact_invoked {
                 stats.exact_calls += 1;
+                stats.exact_nodes += answer.exact_nodes;
             }
             if airtimes[ci].is_none() {
                 continue;

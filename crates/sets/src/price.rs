@@ -12,10 +12,17 @@
 //! - **exact** (pairwise-exact models, e.g. declarative conflict tables):
 //!   branches over (link, rate) couples; the mask intersection *is* the
 //!   admissibility test. The search carries an incremental candidate mask per
-//!   branch level (`cand_child = cand ∩ compat(couple)`), so membership tests
-//!   are O(1) bit probes and a *residual* upper bound — each remaining link's
-//!   best **surviving** couple instead of its best-case alone rate — prunes
-//!   subtrees the static suffix bound cannot.
+//!   include level (`cand_child = cand ∩ compat(couple)`), so membership
+//!   tests are O(1) bit probes, and bounds each subtree by a **clique
+//!   cover** of the surviving couples, built once per include level: an
+//!   admissible set takes at most one couple from each clique of mutually
+//!   conflicting couples, so the sum of the cliques' heaviest members bounds
+//!   every extension. Exclude steps read that bound in O(1). It is never
+//!   looser than summing each remaining link's best surviving couple (the
+//!   bound of the tests' reference search), and on a 40-link rate-coupled
+//!   draw the search branches at about a sixth of the positions that sum
+//!   needs. Seeding the incumbent or splitting a link's rate ladder across
+//!   cliques did not pay (see [`ExactSearch`]).
 //! - **rate-independent** (e.g. SINR models, where membership decides
 //!   admissibility and each member's rate is then lifted): branches over
 //!   membership with the lowest-rate couple masks as a sound prefilter, then
@@ -93,6 +100,22 @@ pub struct PriceScratch {
     suffix: Vec<f64>,
     /// Level-indexed candidate-mask stack for the exact search.
     cand: Vec<u64>,
+    /// Level-indexed clique-cover bounds for the exact search:
+    /// `bound[level * (order.len() + 1) + p]` bounds what `order[p..]` can
+    /// add under `cand[level]`.
+    bound: Vec<f64>,
+    /// One cover's cliques while it is packed: the AND of each clique's
+    /// members' conflict rows, `words` words per clique.
+    clique_rows: Vec<u64>,
+    /// One cover's per-clique heaviest member seen by the backward sweep.
+    clique_max: Vec<f64>,
+    /// One cover's entry per position in `order`: the clique of its link
+    /// (`NO_CLIQUE` when none of its couples survives) and its best
+    /// surviving couple's contribution.
+    pos_cover: Vec<(usize, f64)>,
+    /// Branching positions of the last exact search (see
+    /// [`PricingAnswer::exact_nodes`]).
+    exact_nodes: u64,
     /// Chosen-couple mask for the model-confirmed searches and heuristics.
     chosen: Vec<u64>,
     /// Chosen live link indices, in choice order.
@@ -156,6 +179,11 @@ impl MaxWeightOracle {
             best_couples: Vec::with_capacity(n),
             suffix: Vec::with_capacity(n + 1),
             cand: Vec::with_capacity((n + 1) * words),
+            bound: Vec::with_capacity((n + 1) * (n + 1)),
+            clique_rows: Vec::with_capacity(n * words),
+            clique_max: Vec::with_capacity(n),
+            pos_cover: Vec::with_capacity(n),
+            exact_nodes: 0,
             chosen: vec![0; words],
             members: Vec::with_capacity(n),
             member_couples: Vec::with_capacity(n),
@@ -217,32 +245,49 @@ impl MaxWeightOracle {
         weights: &[f64],
         scratch: &mut PriceScratch,
     ) -> Option<(RatedSet, f64)> {
+        scratch.exact_nodes = 0;
         if !self.prepare(weights, scratch) {
             return None;
         }
         match self.mode {
             Mode::Exact => {
                 let words = self.c.words;
-                let levels = scratch.order.len() + 1;
+                let links = scratch.order.len();
+                // Levels and positions both run 0..=links.
+                let stride = links + 1;
                 scratch.cand.clear();
-                scratch.cand.resize(levels * words, 0);
+                scratch.cand.resize(stride * words, 0);
                 for &i in &scratch.order {
                     for couple in self.c.couples_of(i) {
                         set_bit(&mut scratch.cand[..words], couple);
                     }
                 }
+                scratch.bound.clear();
+                scratch.bound.resize(stride * stride, 0.0);
+                scratch.clique_rows.clear();
+                scratch.clique_rows.resize(links * words, 0);
+                scratch.clique_max.clear();
+                scratch.clique_max.resize(links, 0.0);
+                scratch.pos_cover.clear();
+                scratch.pos_cover.resize(links, (NO_CLIQUE, 0.0));
                 scratch.assignment.clear();
                 let mut search = ExactSearch {
                     c: &self.c,
                     order: &scratch.order,
-                    suffix: &scratch.suffix,
                     contrib: &scratch.contrib,
                     cand: &mut scratch.cand,
+                    bound: &mut scratch.bound,
+                    clique_rows: &mut scratch.clique_rows,
+                    clique_max: &mut scratch.clique_max,
+                    pos_cover: &mut scratch.pos_cover,
                     assignment: &mut scratch.assignment,
                     best: None,
                     words,
+                    nodes: 0,
                 };
+                search.cover(0, 0);
                 search.run(0, 0, 0.0);
+                scratch.exact_nodes = search.nodes;
                 search.best
             }
             Mode::RateIndependent | Mode::Generic => {
@@ -260,12 +305,14 @@ impl MaxWeightOracle {
                     members: &mut scratch.members,
                     assignment: &mut scratch.assignment,
                     best: None,
+                    nodes: 0,
                 };
                 if self.mode == Mode::RateIndependent {
                     search.rate_independent(0, 0.0);
                 } else {
                     search.generic(0, 0.0);
                 }
+                scratch.exact_nodes = search.nodes;
                 search.best
             }
         }
@@ -616,19 +663,45 @@ fn heur_value(s: &PriceScratch) -> f64 {
     s.member_couples.iter().map(|&c| s.contrib[c]).sum()
 }
 
-/// Branch and bound for pairwise-exact models. Carries a level-indexed stack
-/// of candidate masks: `cand[level]` holds every couple compatible with all
-/// chosen couples, so the include test is one bit probe and the residual
-/// bound sums each remaining link's best *surviving* couple.
+/// Marks a cover position whose link has no surviving couple.
+const NO_CLIQUE: usize = usize::MAX;
+
+/// Branch and bound for pairwise-exact models.
+///
+/// Positions index `order`; an *include level* is the number of chosen
+/// couples. `cand[level]` holds every couple compatible with all chosen
+/// couples, so the include test is one bit probe. Entering a level builds a
+/// clique cover of its surviving couples ([`ExactSearch::cover`]), and
+/// `bound[level][p]` — the sum over cliques of the heaviest member at or
+/// after position `p` — bounds what `order[p..]` can add: an admissible set
+/// takes at most one couple from each clique. The exclude steps along a
+/// level read it in O(1), and an include child is not entered when the
+/// parent's bound at the next position already rules it out, since the
+/// parent's cover, restricted to the child's candidates, still covers them.
+///
+/// The branch order (positions in `order`, a link's couples rates
+/// descending, include before exclude) and the strict improvement rule fix
+/// the answer: a bound only skips subtrees none of whose nodes would
+/// replace the incumbent, so any sound bound returns the same set and value.
+/// Trials that stayed out: seeding the incumbent from the heuristic column
+/// or from the reduced-cost threshold saved under 1% of the nodes, and a
+/// cover that splits each link's 54/36/18 ladder across cliques branched at
+/// 2.4x fewer positions but ran slower. [`ModelSearch`] keeps the suffix
+/// bound: no benchmark workload prices SINR models.
 struct ExactSearch<'a> {
     c: &'a Compiled,
     order: &'a [usize],
-    suffix: &'a [f64],
     contrib: &'a [f64],
     cand: &'a mut [u64],
+    bound: &'a mut [f64],
+    clique_rows: &'a mut [u64],
+    clique_max: &'a mut [f64],
+    pos_cover: &'a mut [(usize, f64)],
     assignment: &'a mut Vec<(LinkId, Rate)>,
     best: Option<(RatedSet, f64)>,
     words: usize,
+    /// Positions branched at (nodes that passed their bound).
+    nodes: u64,
 }
 
 impl ExactSearch<'_> {
@@ -646,52 +719,94 @@ impl ExactSearch<'_> {
         }
     }
 
-    /// Whether some extension of this node can still beat the incumbent:
-    /// adds each remaining link's best surviving couple (candidates are
-    /// rates-descending, so the first surviving bit is the best) and early
-    /// exits once the bound clears the incumbent. Sound because any
-    /// extension picks at most one surviving couple per remaining link.
-    fn residual_improves(&self, pos: usize, level: usize, value: f64) -> bool {
-        let target = self.best_value() + VALUE_EPS;
-        if value + self.suffix[pos] <= target {
-            return false;
-        }
-        let cand = &self.cand[level * self.words..(level + 1) * self.words];
-        let mut acc = value;
-        for &i in &self.order[pos..] {
-            for couple in self.c.couples_of(i) {
-                if test_bit(cand, couple) {
-                    acc += self.contrib[couple];
-                    break;
+    /// Builds the clique cover of `cand[level]` over `order[pos..]` and
+    /// fills `bound[level][pos..]`.
+    ///
+    /// Links are packed first fit in `order` (heaviest potential first): a
+    /// link's surviving couples, which conflict with each other, join the
+    /// first clique whose conflict-row AND holds all of them — every member
+    /// conflicts with every one of them — or open a new clique; the clique's
+    /// AND then takes in their rows. A backward sweep adds each position's
+    /// best surviving couple (the first, rates descending) to its clique's
+    /// maximum, so `bound[level][p]` sums the cliques' heaviest members at
+    /// or after `p`.
+    fn cover(&mut self, level: usize, pos: usize) {
+        let w = self.words;
+        let links = self.order.len();
+        let cand = &self.cand[level * w..(level + 1) * w];
+        let mut cliques = 0;
+        for p in pos..links {
+            let mut couples = self.c.couples_of(self.order[p]);
+            let end = couples.end;
+            let Some(top) = couples.find(|&c| test_bit(cand, c)) else {
+                self.pos_cover[p] = (NO_CLIQUE, 0.0);
+                continue;
+            };
+            let fits = |k: usize| {
+                let row = &self.clique_rows[k * w..(k + 1) * w];
+                (top..end).all(|c| !test_bit(cand, c) || test_bit(row, c))
+            };
+            let k = match (0..cliques).find(|&k| fits(k)) {
+                Some(k) => k,
+                None => {
+                    self.clique_rows[cliques * w..(cliques + 1) * w].fill(u64::MAX);
+                    cliques += 1;
+                    cliques - 1
+                }
+            };
+            let row = &mut self.clique_rows[k * w..(k + 1) * w];
+            for c in (top..end).filter(|&c| test_bit(cand, c)) {
+                for (r, &conflict) in row.iter_mut().zip(self.c.conflict_row(c)) {
+                    *r &= conflict;
                 }
             }
-            if acc > target {
-                return true;
-            }
+            self.pos_cover[p] = (k, self.contrib[top]);
         }
-        false
+        let stride = links + 1;
+        let bound = &mut self.bound[level * stride..(level + 1) * stride];
+        let clique_max = &mut self.clique_max[..cliques];
+        clique_max.fill(0.0);
+        let mut total = 0.0;
+        bound[links] = 0.0;
+        for p in (pos..links).rev() {
+            let (k, top) = self.pos_cover[p];
+            if k != NO_CLIQUE && top > clique_max[k] {
+                total += top - clique_max[k];
+                clique_max[k] = top;
+            }
+            bound[p] = total;
+        }
     }
 
-    fn run(&mut self, pos: usize, level: usize, value: f64) {
-        if pos == self.order.len() || !self.residual_improves(pos, level, value) {
-            return;
-        }
+    /// Searches from position `pos` at include level `level`, whose cover
+    /// is built; each loop turn past the first is an exclude step.
+    fn run(&mut self, mut pos: usize, level: usize, value: f64) {
         let w = self.words;
-        let i = self.order[pos];
-        for couple in self.c.couples_of(i) {
-            if !test_bit(&self.cand[level * w..(level + 1) * w], couple) {
-                continue;
+        let stride = self.order.len() + 1;
+        while pos < self.order.len() {
+            if value + self.bound[level * stride + pos] <= self.best_value() + VALUE_EPS {
+                return;
             }
-            let gain = self.contrib[couple];
-            self.assignment
-                .push((self.c.links[i], self.c.couple_rate[couple]));
-            let (lo, hi) = self.cand.split_at_mut((level + 1) * w);
-            and_into(&lo[level * w..], self.c.compat_row(couple), &mut hi[..w]);
-            self.offer(value + gain);
-            self.run(pos + 1, level + 1, value + gain);
-            self.assignment.pop();
+            self.nodes += 1;
+            let i = self.order[pos];
+            for couple in self.c.couples_of(i) {
+                if !test_bit(&self.cand[level * w..(level + 1) * w], couple) {
+                    continue;
+                }
+                let child = value + self.contrib[couple];
+                self.assignment
+                    .push((self.c.links[i], self.c.couple_rate[couple]));
+                self.offer(child);
+                if child + self.bound[level * stride + pos + 1] > self.best_value() + VALUE_EPS {
+                    let (lo, hi) = self.cand.split_at_mut((level + 1) * w);
+                    and_into(&lo[level * w..], self.c.compat_row(couple), &mut hi[..w]);
+                    self.cover(level + 1, pos + 1);
+                    self.run(pos + 1, level + 1, child);
+                }
+                self.assignment.pop();
+            }
+            pos += 1;
         }
-        self.run(pos + 1, level, value);
     }
 }
 
@@ -709,6 +824,8 @@ struct ModelSearch<'a, M: LinkRateModel + ?Sized> {
     members: &'a mut Vec<usize>,
     assignment: &'a mut Vec<(LinkId, Rate)>,
     best: Option<(RatedSet, f64)>,
+    /// Positions branched at (nodes that passed the suffix bound).
+    nodes: u64,
 }
 
 impl<M: LinkRateModel + ?Sized> ModelSearch<'_, M> {
@@ -739,6 +856,7 @@ impl<M: LinkRateModel + ?Sized> ModelSearch<'_, M> {
         if pos == self.order.len() || value + self.suffix[pos] <= self.best_value() + VALUE_EPS {
             return;
         }
+        self.nodes += 1;
         let i = self.order[pos];
         let low = self.c.lowest_couple(i);
         if self.c.compatible_with(low, self.chosen) {
@@ -779,6 +897,7 @@ impl<M: LinkRateModel + ?Sized> ModelSearch<'_, M> {
         if pos == self.order.len() || value + self.suffix[pos] <= self.best_value() + VALUE_EPS {
             return;
         }
+        self.nodes += 1;
         let i = self.order[pos];
         for couple in self.c.couples_of(i) {
             if !self.c.compatible_with(couple, self.chosen) {
@@ -830,6 +949,10 @@ pub struct PricingAnswer {
     pub heuristic_ns: u64,
     /// Wall-clock nanoseconds spent in the exact search.
     pub exact_ns: u64,
+    /// Positions the exact search branched at: search nodes that passed
+    /// their bound (0 when it did not run). A host-independent measure of
+    /// the exact search's work.
+    pub exact_nodes: u64,
 }
 
 /// Prices one component: heuristic first (when enabled), exact
@@ -870,6 +993,7 @@ pub fn price_component<M: LinkRateModel + ?Sized>(
         .max_weight_set_with(model, req.raw_weights, scratch);
     ans.exact_ns = start.elapsed().as_nanos() as u64;
     ans.exact_invoked = true;
+    ans.exact_nodes = scratch.exact_nodes;
     if let Some((set, _)) = found {
         let raw = req.oracle.set_value(req.raw_weights, &set);
         if raw > req.threshold && !req.pool.contains(&set) {
@@ -935,6 +1059,7 @@ mod tests {
     use crate::enumerate::{enumerate_admissible, EnumerationOptions};
     use awb_net::{DeclarativeModel, SinrModel, Topology};
     use awb_phy::Phy;
+    use proptest::prelude::*;
 
     fn r(m: f64) -> Rate {
         Rate::from_mbps(m)
@@ -1247,6 +1372,264 @@ mod tests {
             }
             assert_eq!(s.by_heuristic, p.by_heuristic);
             assert_eq!(s.exact_invoked, p.exact_invoked);
+        }
+    }
+
+    /// The exact search with the per-node residual bound: the same branch
+    /// order as [`ExactSearch`], but each node sums every remaining link's
+    /// best *surviving* couple. It is the reference the clique-cover search
+    /// must match bit for bit.
+    struct ResidualSearch<'a> {
+        c: &'a Compiled,
+        order: &'a [usize],
+        suffix: &'a [f64],
+        contrib: &'a [f64],
+        cand: &'a mut [u64],
+        assignment: Vec<(LinkId, Rate)>,
+        best: Option<(RatedSet, f64)>,
+        words: usize,
+    }
+
+    impl ResidualSearch<'_> {
+        fn best_value(&self) -> f64 {
+            self.best.as_ref().map_or(0.0, |&(_, v)| v)
+        }
+
+        fn residual_improves(&self, pos: usize, level: usize, value: f64) -> bool {
+            let target = self.best_value() + VALUE_EPS;
+            if value + self.suffix[pos] <= target {
+                return false;
+            }
+            let cand = &self.cand[level * self.words..(level + 1) * self.words];
+            let mut acc = value;
+            for &i in &self.order[pos..] {
+                if let Some(couple) = self.c.couples_of(i).find(|&c| test_bit(cand, c)) {
+                    acc += self.contrib[couple];
+                }
+                if acc > target {
+                    return true;
+                }
+            }
+            false
+        }
+
+        fn run(&mut self, pos: usize, level: usize, value: f64) {
+            if pos == self.order.len() || !self.residual_improves(pos, level, value) {
+                return;
+            }
+            let w = self.words;
+            let i = self.order[pos];
+            for couple in self.c.couples_of(i) {
+                if !test_bit(&self.cand[level * w..(level + 1) * w], couple) {
+                    continue;
+                }
+                let gain = self.contrib[couple];
+                self.assignment
+                    .push((self.c.links[i], self.c.couple_rate[couple]));
+                let (lo, hi) = self.cand.split_at_mut((level + 1) * w);
+                and_into(&lo[level * w..], self.c.compat_row(couple), &mut hi[..w]);
+                if value + gain > self.best_value() + VALUE_EPS {
+                    self.best = Some((RatedSet::new(self.assignment.clone()), value + gain));
+                }
+                self.run(pos + 1, level + 1, value + gain);
+                self.assignment.pop();
+            }
+            self.run(pos + 1, level, value);
+        }
+    }
+
+    /// [`MaxWeightOracle::max_weight_set`] through [`ResidualSearch`].
+    fn residual_reference(oracle: &MaxWeightOracle, weights: &[f64]) -> Option<(RatedSet, f64)> {
+        assert_eq!(oracle.mode, Mode::Exact);
+        let mut s = oracle.new_scratch();
+        if !oracle.prepare(weights, &mut s) {
+            return None;
+        }
+        let words = oracle.c.words;
+        s.cand.resize((s.order.len() + 1) * words, 0);
+        for &i in &s.order {
+            for couple in oracle.c.couples_of(i) {
+                set_bit(&mut s.cand[..words], couple);
+            }
+        }
+        let mut search = ResidualSearch {
+            c: &oracle.c,
+            order: &s.order,
+            suffix: &s.suffix,
+            contrib: &s.contrib,
+            cand: &mut s.cand,
+            assignment: Vec::new(),
+            best: None,
+            words,
+        };
+        search.run(0, 0, 0.0);
+        search.best
+    }
+
+    /// SplitMix64: the random declarative draws below are a pure function
+    /// of their seed.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A random declarative model over `n` disjoint links drawn from
+    /// `seed`. Unless `full_ladders`, about one link in twelve is dead and
+    /// the others take a non-empty subset of the 54/36/18 ladder; with it,
+    /// every link takes the whole ladder. Each pair conflicts at all rates,
+    /// at one to three rate pairs of its links' ladders (so a pair may
+    /// conflict at 36/36 but not at 54/54), or not at all; `density`
+    /// (percent) is the share of pairs that conflict.
+    fn random_declarative(
+        n: usize,
+        seed: u64,
+        density: u64,
+        full_ladders: bool,
+    ) -> (DeclarativeModel, Vec<LinkId>) {
+        const LADDER: [f64; 3] = [54.0, 36.0, 18.0];
+        let mut rng = SplitMix(seed);
+        let mut t = Topology::new();
+        let links: Vec<LinkId> = (0..n)
+            .map(|i| {
+                let a = t.add_node(i as f64 * 10.0, 0.0);
+                let b = t.add_node(i as f64 * 10.0 + 5.0, 0.0);
+                t.add_link(a, b).unwrap()
+            })
+            .collect();
+        let ladders: Vec<Vec<Rate>> = (0..n)
+            .map(|_| {
+                if full_ladders {
+                    return LADDER.iter().map(|&m| r(m)).collect();
+                }
+                if rng.below(12) == 0 {
+                    return Vec::new();
+                }
+                let subset = 1 + rng.below(7);
+                (0..3)
+                    .filter(|&k| subset & (1 << k) != 0)
+                    .map(|k| r(LADDER[k]))
+                    .collect()
+            })
+            .collect();
+        let mut b = DeclarativeModel::builder(t);
+        for (l, ladder) in links.iter().zip(&ladders) {
+            if !ladder.is_empty() {
+                b = b.alone_rates(*l, ladder);
+            }
+        }
+        for i in 0..n {
+            for j in i + 1..n {
+                let draw = rng.below(100);
+                if draw >= density {
+                    continue;
+                }
+                if draw.is_multiple_of(2) || ladders[i].is_empty() || ladders[j].is_empty() {
+                    b = b.conflict_all(links[i], links[j]);
+                    continue;
+                }
+                for _ in 0..=rng.below(3) {
+                    let ri = ladders[i][rng.below(ladders[i].len() as u64) as usize];
+                    let rj = ladders[j][rng.below(ladders[j].len() as u64) as usize];
+                    b = b.conflict_at(links[i], ri, links[j], rj);
+                }
+            }
+        }
+        (b.build(), links)
+    }
+
+    /// Weights for `links` live links drawn from `seed`: zeros, negatives,
+    /// a grid of eighths (exact sums, hence many ties) and arbitrary reals.
+    fn random_weights(links: usize, seed: u64) -> Vec<f64> {
+        let mut rng = SplitMix(seed);
+        (0..links)
+            .map(|_| match rng.below(10) {
+                0 => 0.0,
+                1 => -((1 + rng.below(16)) as f64) / 8.0,
+                2 | 3 => (rng.next() >> 11) as f64 / (1u64 << 53) as f64 * 4.0,
+                _ => (1 + rng.below(24)) as f64 / 8.0,
+            })
+            .collect()
+    }
+
+    /// Asserts that the clique-cover search returns the reference's set and
+    /// value bits for three weight vectors drawn from `seed`, and at 10
+    /// links or fewer the brute-force optimum.
+    fn assert_matches_reference(
+        m: &DeclarativeModel,
+        links: &[LinkId],
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let oracle = MaxWeightOracle::new(m, links);
+        let mut scratch = oracle.new_scratch();
+        for round in 0..3 {
+            let w = random_weights(oracle.links().len(), seed ^ (round + 1));
+            let found = oracle.max_weight_set_with(m, &w, &mut scratch);
+            let reference = residual_reference(&oracle, &w);
+            match (&found, &reference) {
+                (Some((set, value)), Some((ref_set, ref_value))) => {
+                    prop_assert_eq!(set, ref_set);
+                    prop_assert_eq!(value.to_bits(), ref_value.to_bits());
+                    prop_assert!(m.admissible(set.couples()));
+                }
+                (f, r) => prop_assert_eq!(f.is_none(), r.is_none()),
+            }
+            if links.len() <= 10 {
+                let named: Vec<(LinkId, f64)> = oracle
+                    .links()
+                    .iter()
+                    .copied()
+                    .zip(w.iter().copied())
+                    .collect();
+                let brute = brute_force(m, links, &named);
+                let value = found.as_ref().map_or(0.0, |&(_, v)| v);
+                prop_assert!(
+                    (value - brute).abs() < 1e-9,
+                    "search {} != brute force {}",
+                    value,
+                    brute
+                );
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        #[test]
+        fn clique_cover_search_matches_the_residual_reference(
+            n in 3usize..=44,
+            seed in any::<u64>(),
+            density in 5u64..=70,
+        ) {
+            let (m, links) = random_declarative(n, seed, density, false);
+            assert_matches_reference(&m, &links, seed)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// 44 links with the whole ladder: 132 couples, three mask words.
+        #[test]
+        fn clique_cover_search_matches_the_reference_on_three_mask_words(
+            seed in any::<u64>(),
+            density in 5u64..=70,
+        ) {
+            let (m, links) = random_declarative(44, seed, density, true);
+            prop_assert_eq!(MaxWeightOracle::new(&m, &links).c.words, 3);
+            assert_matches_reference(&m, &links, seed)?;
         }
     }
 }
